@@ -31,8 +31,9 @@ from .gordan import (
     NullCombination,
     SeparatingDirection,
     gordan_decide,
+    null_vector_failure,
 )
-from .linalg import SuperbridgeError, neg3, rational
+from .linalg import SuperbridgeError, neg3, primitive_vector
 
 
 class OddEdgeCount(SuperbridgeError):
@@ -165,62 +166,14 @@ def build_odd_systems(e: EdgeVectors) -> OddSystem:
     return OddSystem(systems=tuple(systems))
 
 
-def _check_null_vector(matrix: GordanMatrix, u: Sequence) -> Optional[str]:
-    """None if u is a valid null combination, else the failing check name."""
-    uu = [rational(x) for x in u]
-    if len(uu) != len(matrix.columns):
-        return "dimension"
-    if any(x < 0 for x in uu):
-        return "negative_entry"
-    if all(x == 0 for x in uu):
-        return "zero_vector"
-    for d in range(3):
-        if sum(col[d] * x for col, x in zip(matrix.columns, uu)) != 0:
-            return "nonzero_residual"
-    return None
+def _integer_edge_vectors(p: PolygonalKnot) -> EdgeVectors:
+    """Edges of p scaled to integers by one common positive factor.
 
-
-def _integer_edges(e: EdgeVectors) -> list[tuple[int, int, int]]:
-    # One global scaling for all edges: the null-vector equations are only
-    # invariant under a common positive factor, not per-edge factors.
-    lcm = 1
-    for edge in e.edges:
-        for c in edge:
-            d = c.denominator
-            lcm = lcm * d // _gcd(lcm, d)
-    return [tuple(int(c * lcm) for c in edge) for edge in e.edges]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _check_signed_null(
-    int_edges: list[tuple[int, int, int]], signs: Sequence[int], u: Sequence[int]
-) -> Optional[str]:
-    """Integer-only validity check of u against the signed edge system."""
-    if len(u) != len(int_edges):
-        return "dimension"
-    if any(x < 0 for x in u):
-        return "negative_entry"
-    if not any(u):
-        return "zero_vector"
-    for d in range(3):
-        if sum(s * x * e[d] for s, x, e in zip(signs, u, int_edges)) != 0:
-            return "nonzero_residual"
-    return None
-
-
-def _integer_entries(u: Sequence) -> list[int]:
-    """Scale a rational vector to integers by a common positive factor."""
-    uu = [rational(x) for x in u]
-    lcm = 1
-    for x in uu:
-        d = x.denominator
-        lcm = lcm * d // _gcd(lcm, d)
-    return [int(x * lcm) for x in uu]
+    A common factor preserves every null-vector equation of the signed
+    systems; per-edge factors would not.
+    """
+    flat = primitive_vector(c for edge in edge_vectors(p).edges for c in edge)
+    return EdgeVectors(edges=tuple(flat[i : i + 3] for i in range(0, len(flat), 3)))
 
 
 def verify_even_certificate(p: PolygonalKnot, u: Sequence) -> VerifiedBound:
@@ -228,10 +181,10 @@ def verify_even_certificate(p: PolygonalKnot, u: Sequence) -> VerifiedBound:
     n = p.n
     if n % 2 != 0:
         raise OddEdgeCount(f"{p.name}: edge count {n} is odd")
-    system = build_even_system(edge_vectors(p))
     if len(u) != n:
         raise InvalidCertificate("dimension", f"vector length {len(u)} != {n}")
-    failure = _check_null_vector(system.matrix, u)
+    system = build_even_system(_integer_edge_vectors(p))
+    failure = null_vector_failure(system.matrix.columns, primitive_vector(u))
     if failure is not None:
         raise InvalidCertificate(failure, f"{p.name}: even-system certificate rejected")
     return VerifiedBound(knot=p.name, n=n, bound=n // 2 - 1)
@@ -264,8 +217,8 @@ def verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBo
         raise InvalidCertificate(
             "dimension", f"{p.name}: bundle is {bundle.size}x{bundle.size}, edges {n}"
         )
-    int_edges = _integer_edges(edge_vectors(p))
-    columns = [_integer_entries(bundle.column(c)) for c in range(n)]
+    systems = [m.columns for m in build_odd_systems(_integer_edge_vectors(p)).systems]
+    columns = [primitive_vector(bundle.column(c)) for c in range(n)]
     rotated = {
         (c, r): tuple(columns[c][(q - r) % n] for q in range(n))
         for c in range(n)
@@ -274,14 +227,13 @@ def verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBo
     assignment = []
     uncovered = []
     for j in range(1, n + 1):
-        signs = [shift_sign(n, j, i) for i in range(n)]
         candidates = [(j - 1, 0), published_column_for_system(n, j)]
         candidates += [
             (c, r) for c in range(n) for r in range(n) if (c, r) not in candidates
         ]
         hit = None
         for c, r in candidates:
-            if _check_signed_null(int_edges, signs, rotated[(c, r)]) is None:
+            if null_vector_failure(systems[j - 1], rotated[(c, r)]) is None:
                 hit = (j, c, r)
                 break
         if hit:
@@ -293,8 +245,7 @@ def verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBo
         # system, so tampering reports point at the culprit entry.
         j = uncovered[0]
         c, r = published_column_for_system(n, j)
-        signs = [shift_sign(n, j, i) for i in range(n)]
-        reason = _check_signed_null(int_edges, signs, rotated[(c, r)])
+        reason = null_vector_failure(systems[j - 1], rotated[(c, r)])
         raise InvalidCertificate(
             "uncovered_system",
             f"{p.name}: no valid null vector for shifted system(s) {uncovered}; "

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import bounds, corpus
@@ -20,8 +19,8 @@ from .certificates import InvalidCertificate, find_certificate
 from .enumeration import (
     descent_histogram,
     jin_upper_bound,
+    max_descent_pattern,
     realizable_patterns,
-    superbridge_number,
 )
 from .geometry import edge_vectors, normalize_pose, quantize
 from .linalg import SuperbridgeError, format_rational
@@ -59,11 +58,7 @@ def _cmd_verify(args) -> int:
                 "check": exc.check,
             }
 
-    if args.jobs > 1 and len(args.paths) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(check, args.paths))
-    else:
-        results = [check(p) for p in args.paths]
+    results = [check(p) for p in args.paths]
     failures = 0
     lines = []
     for res in results:
@@ -79,15 +74,16 @@ def _cmd_verify(args) -> int:
 def _cmd_exact(args) -> int:
     knot = corpus.load_realization(args.path)
     patterns = realizable_patterns(edge_vectors(knot))
-    result = superbridge_number(knot)
+    best = max_descent_pattern(patterns)
+    value = best.pattern.descents
     hist = descent_histogram(patterns)
-    witness = [format_rational(c) for c in result.witness_direction.v]
+    witness = [format_rational(c) for c in best.witness.v]
     text = (
         f"knot: {knot.name}\n"
         f"n: {knot.n}\n"
-        f"superbridge: {result.value}\n"
+        f"superbridge: {value}\n"
         f"witness: {' '.join(witness)}\n"
-        f"patterns: {result.pattern_count}\n"
+        f"patterns: {len(patterns)}\n"
         f"descent histogram: "
         + " ".join(f"{d}:{c}" for d, c in hist.items())
     )
@@ -95,11 +91,11 @@ def _cmd_exact(args) -> int:
         {
             "knot": knot.name,
             "n": knot.n,
-            "claim": f"sb = {result.value}",
+            "claim": f"sb = {value}",
             "verified": True,
-            "value": result.value,
+            "value": value,
             "witness": witness,
-            "patterns": result.pattern_count,
+            "patterns": len(patterns),
             "descent_histogram": {str(k): v for k, v in hist.items()},
         },
         args.json,
@@ -232,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify certificate files")
     p.add_argument("paths", nargs="+", help="certificate document files")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("exact", help="exact superbridge number of a coordinate file")
@@ -253,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=str, default="3/2")
     p.add_argument("--screen-samples", type=int, default=200)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1, help="accepted; stream order is seed-determined")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("table", help="render the superbridge interval table")

@@ -15,15 +15,16 @@ incident circle and then infinitesimally toward a tangent of a second
 (lexicographic two-level signs) lands in the sector flanking that ray, so
 taking both rays of both circles of every generating pair on both sides
 reaches every sector - including at vertices where three or more circles
-concur, since each concurrent pair regenerates the same vertex. A concrete
-rational witness direction is recovered per pattern by shrinking explicit
-epsilon values until the exact signs match.
+concur, since each concurrent pair regenerates the same vertex. An
+integer witness direction is recovered per pattern, in plain ints, as
+K^2 v0 + K d1 + d2 for growing K until its exact signs match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -69,7 +70,7 @@ def _first_sign(a: int, b: int, c: int) -> int:
         return 1
     if c < 0:
         return -1
-    raise AssertionError("internal: undetermined symbolic sign")
+    raise SuperbridgeError("internal: undetermined symbolic sign")
 
 
 def realizable_patterns(e: EdgeVectors) -> tuple[RealizablePattern, ...]:
@@ -118,21 +119,23 @@ def realizable_patterns(e: EdgeVectors) -> tuple[RealizablePattern, ...]:
 
 
 def _shrink_witness(prim, signs, v0, d1, d2):
-    """Rational direction whose exact signs equal the symbolic pattern."""
-    eps = Fraction(1, 1 << 10)
+    """Integer direction whose exact signs equal the symbolic pattern.
+
+    Tries w = K^2 v0 + K d1 + d2 for K = 2^10, 2^11, ... in plain ints. That
+    is a positive multiple of v0 + eps d1 + eps^2 d2 at eps = 1/K, so the
+    signs are those of the lexicographic perturbation once K is large.
+    """
+    k = 1 << 10
     for _ in range(256):
-        w = tuple(Fraction(v0[d]) + eps * d1[d] + eps * eps * d2[d] for d in range(3))
-        ok = True
+        w = tuple(k * k * v0[d] + k * d1[d] + d2[d] for d in range(3))
         for em, want in zip(prim, signs):
             val = dot3(w, em)
             if val == 0 or (val > 0) != (want > 0):
-                ok = False
                 break
-        if ok:
-            frac_witness = tuple(primitive_vector(w))
-            return (Fraction(frac_witness[0]), Fraction(frac_witness[1]), Fraction(frac_witness[2]))
-        eps /= 2
-    raise AssertionError("internal: witness shrink did not terminate")
+        else:
+            return tuple(Fraction(x) for x in primitive_vector(w))
+        k *= 2
+    raise SuperbridgeError("internal: witness shrink did not terminate")
 
 
 def jin_upper_bound(p: PolygonalKnot) -> int:
@@ -140,12 +143,18 @@ def jin_upper_bound(p: PolygonalKnot) -> int:
     return p.n // 2
 
 
+def max_descent_pattern(patterns: Sequence[RealizablePattern]) -> RealizablePattern:
+    """The first pattern, in the given order, with the most descents."""
+    return max(patterns, key=lambda rp: rp.pattern.descents)
+
+
 def superbridge_number(p: PolygonalKnot) -> SuperbridgeResult:
     """Exact superbridge number by complete pattern enumeration."""
     patterns = realizable_patterns(edge_vectors(p))
-    best = max(patterns, key=lambda rp: rp.pattern.descents)
+    best = max_descent_pattern(patterns)
     value = best.pattern.descents
-    assert value <= jin_upper_bound(p)
+    if value > jin_upper_bound(p):
+        raise SuperbridgeError("internal: descent count exceeds floor(n/2)")
     return SuperbridgeResult(
         value=value,
         witness_direction=best.witness,

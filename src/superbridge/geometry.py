@@ -133,8 +133,8 @@ class SignPattern:
     """Cyclic +/-1 vector of edge projection signs with its descent count.
 
     ``descents`` is the cyclic number of (+ -> -) transitions, which equals
-    the number of local maxima of the projection. It always equals the
-    cyclic (- -> +) count and is at most floor(n/2).
+    the number of local maxima of the projection. For a cyclic sequence it
+    always equals the (- -> +) count, so it is at most floor(n/2).
     """
 
     signs: tuple[int, ...]
@@ -144,15 +144,10 @@ class SignPattern:
         if any(s not in (1, -1) for s in self.signs):
             raise SuperbridgeError("sign pattern entries must be +1 or -1")
         down = cyclic_descents(self.signs)
-        up = cyclic_descents(tuple(-s for s in self.signs))
         if self.descents == -1:
             object.__setattr__(self, "descents", down)
         if self.descents != down:
             raise SuperbridgeError(f"descents {self.descents} != computed {down}")
-        if down != up:
-            raise SuperbridgeError("cyclic (+->-) and (-->+) counts differ")
-        if down > len(self.signs) // 2:
-            raise SuperbridgeError("descent count exceeds floor(n/2)")
 
     def __len__(self) -> int:
         return len(self.signs)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .linalg import SuperbridgeError, Vec3, dot3, primitive_vector, rational, vec3
 
@@ -66,33 +66,48 @@ def verify_separating(a: GordanMatrix, v: Sequence) -> bool:
     return all(dot3(w, col) > 0 for col in a.columns)
 
 
+def null_vector_failure(columns: Sequence[Sequence], u: Sequence) -> Optional[str]:
+    """First failed check of u as a null combination of ``columns``, or None.
+
+    The checks, in order, are "dimension", "negative_entry", "zero_vector"
+    and "nonzero_residual". Columns and u must already be exact numbers
+    (ints or Fractions); nothing is converted here. This is the one place
+    the residual A u is computed; every verifier in the package calls it.
+    """
+    if len(u) != len(columns):
+        return "dimension"
+    if any(x < 0 for x in u):
+        return "negative_entry"
+    if not any(u):
+        return "zero_vector"
+    for d in range(3):
+        if sum(col[d] * x for col, x in zip(columns, u)) != 0:
+            return "nonzero_residual"
+    return None
+
+
 def verify_null_combination(a: GordanMatrix, u: Sequence) -> bool:
     """True iff u >= 0, u != 0 and A u = 0, all checked exactly."""
     if len(u) != len(a.columns):
         raise DimensionMismatch(f"u has {len(u)} entries, matrix has {len(a.columns)} columns")
-    uu = [rational(x) for x in u]
-    if any(x < 0 for x in uu):
-        return False
-    if all(x == 0 for x in uu):
-        return False
-    for d in range(3):
-        if sum(col[d] * x for col, x in zip(a.columns, uu)) != 0:
-            return False
-    return True
+    return null_vector_failure(a.columns, [rational(x) for x in u]) is None
 
 
 def gordan_decide(a: GordanMatrix) -> Certificate:
     """Decide the alternative and return a verified certificate.
 
-    Deterministic: the simplex uses Bland's rule throughout.
+    Deterministic: the simplex uses Bland's rule throughout. The recheck
+    of the certificate is an explicit raise, so ``python -O`` keeps it.
     """
     feasible, u, y = _phase_one(a)
     if feasible:
         cert_u = primitive_vector(u)
-        assert verify_null_combination(a, cert_u), "internal: null combination failed recheck"
+        if null_vector_failure(a.columns, cert_u) is not None:
+            raise SuperbridgeError("internal: null combination failed recheck")
         return NullCombination(u=cert_u)
     v = primitive_vector((-y[0], -y[1], -y[2]))
-    assert verify_separating(a, v), "internal: separating direction failed recheck"
+    if not verify_separating(a, v):
+        raise SuperbridgeError("internal: separating direction failed recheck")
     return SeparatingDirection(v=v)
 
 
@@ -141,7 +156,7 @@ def _phase_one(a: GordanMatrix):
                     best = ratio
                     leave_row = r
         if leave_row is None:
-            raise AssertionError("internal: phase-one objective unbounded")
+            raise SuperbridgeError("internal: phase-one objective unbounded")
         _pivot(rows, rhs, obj, leave_row, enter)
         basis[leave_row] = enter
 

@@ -7,7 +7,7 @@ pure function. Floating point never enters the certificate pipeline.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
@@ -64,28 +64,19 @@ def is_zero3(a: Sequence) -> bool:
     return a[0] == 0 and a[1] == 0 and a[2] == 0
 
 
-def clear_denominators(v: Iterable[Fraction | int]) -> tuple[int, ...]:
-    """Scale a rational vector by a positive rational into integers with gcd 1.
+def primitive_vector(v: Iterable[Rational]) -> tuple[int, ...]:
+    """Integer vector positively proportional to ``v``, entries coprime.
 
-    Sign of every entry is preserved; the zero vector maps to itself.
+    This is the package's one denominator-clearing step. Every entry is
+    multiplied by the same positive rational, so signs, zeros and every
+    homogeneous linear equation in the entries are preserved. The zero
+    vector maps to itself.
     """
-    fracs = [Fraction(x) for x in v]
-    lcm = 1
-    for f in fracs:
-        d = f.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    if g > 1:
-        ints = [n // g for n in ints]
-    return tuple(ints)
-
-
-def primitive_vector(v: Sequence) -> tuple[int, ...]:
-    """Integer vector positively proportional to ``v``, entries coprime."""
-    return clear_denominators(v)
+    fracs = [rational(x) for x in v]
+    scale = lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (scale // f.denominator) for f in fracs]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
 def canonical_line(v: Sequence) -> tuple[int, ...]:

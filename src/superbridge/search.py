@@ -185,9 +185,9 @@ class SearchRun:
                 continue
             bundle = None
             if exact < jin_upper_bound(p):
-                found = find_certificate(p)
-                assert found.bundle is not None, "bound below edge count needs a bundle"
-                bundle = found.bundle
+                bundle = find_certificate(p).bundle
+                if bundle is None:
+                    raise SuperbridgeError("internal: bound below edge count needs a bundle")
             self.stats.confirmed += 1
             yield Candidate(knot=p, exact_sb=exact, certificate=bundle)
 

@@ -16,6 +16,7 @@ from superbridge import (
     GordanMatrix,
     InvalidCertificate,
     NullCombination,
+    build_odd_systems,
     descent_count,
     Direction,
     edge_vectors,
@@ -28,8 +29,7 @@ from superbridge import (
     verify_bundle,
     verify_null_combination,
 )
-from superbridge.certificates import published_column_for_system, shift_sign
-from superbridge.certificates import _check_signed_null, _integer_edges
+from superbridge.certificates import published_column_for_system
 from superbridge.corpus import data_root
 
 EVEN_CERTIFIED = {"9_22", "11n_77", "12n_60", "12n_219"}
@@ -310,13 +310,12 @@ def test_criterion_8_odd_mask_pinning(corpus):
     entry = corpus["9_36"]
     knot = entry.knot
     n = knot.n
-    int_edges = _integer_edges(edge_vectors(knot))
+    systems = build_odd_systems(edge_vectors(knot)).systems
     for j in range(1, n + 1):
         c, r = published_column_for_system(n, j)
         col = entry.certificate.column(c)
         u = tuple(col[(p - r) % n] for p in range(n))
-        signs = [shift_sign(n, j, i) for i in range(n)]
-        assert _check_signed_null(int_edges, signs, u) is None, (j, c, r)
+        assert verify_null_combination(systems[j - 1], u), (j, c, r)
     vb = verify_bundle(knot, entry.certificate)
     assert {(j, c, r) for j, c, r in vb.assignment} == {
         (j, *published_column_for_system(n, j)) for j in range(1, n + 1)

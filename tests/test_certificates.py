@@ -5,10 +5,12 @@ import pytest
 from superbridge import (
     CertificateBundle,
     InvalidCertificate,
+    PolygonalKnot,
     build_even_system,
     build_odd_systems,
     edge_vectors,
     find_certificate,
+    verify_bundle,
     verify_even_certificate,
     verify_odd_bundle,
 )
@@ -176,6 +178,46 @@ class TestVerifyOdd:
         entry = corpus["9_36"]
         with pytest.raises(EvenEdgeCount):
             verify_odd_bundle(corpus["9_22"].knot, entry.certificate)
+
+
+def _rational_affine_image(p: PolygonalKnot) -> PolygonalKnot:
+    """Every vertex times 7/3, shifted by (1/2, -1/5, 3/7): edges scale by 7/3."""
+    shift = (Fraction(1, 2), Fraction(-1, 5), Fraction(3, 7))
+    verts = tuple(
+        tuple(Fraction(7, 3) * c + s for c, s in zip(v, shift)) for v in p.vertices
+    )
+    return PolygonalKnot(name=p.name, vertices=verts)
+
+
+def _bump_first_entry(bundle: CertificateBundle) -> CertificateBundle:
+    if bundle.vector is not None:
+        return CertificateBundle(vector=(bundle.vector[0] + 1, *bundle.vector[1:]))
+    first = (bundle.matrix[0][0] + 1, *bundle.matrix[0][1:])
+    return CertificateBundle(matrix=(first, *bundle.matrix[1:]))
+
+
+def test_shipped_bundles_verify_on_rational_coordinates(corpus):
+    """A common positive edge scaling keeps every certificate and diagnosis."""
+    checked = 0
+    for entry in corpus.values():
+        if entry.certificate is None:
+            continue
+        knot, image = entry.knot, _rational_affine_image(entry.knot)
+        assert any(c.denominator > 1 for v in image.vertices for c in v)
+        want = verify_bundle(knot, entry.certificate)
+        got = verify_bundle(image, entry.certificate)
+        assert got.bound == want.bound
+        if knot.n % 2:
+            assert got.assignment == want.assignment
+        tampered = _bump_first_entry(entry.certificate)
+        with pytest.raises(InvalidCertificate) as on_integers:
+            verify_bundle(knot, tampered)
+        with pytest.raises(InvalidCertificate) as on_rationals:
+            verify_bundle(image, tampered)
+        assert on_rationals.value.check == on_integers.value.check
+        assert on_rationals.value.systems == on_integers.value.systems
+        checked += 1
+    assert checked == 20
 
 
 class TestFindCertificate:

@@ -16,9 +16,9 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "9_22: certified sb <= 4" in out
 
-    def test_batch_with_jobs(self, capsys):
+    def test_batch_keeps_order(self, capsys):
         paths = [_data(f"certificates/{k}.cert") for k in ("9_3", "9_4", "12n_66")]
-        assert main(["verify", *paths, "--jobs", "3"]) == 0
+        assert main(["verify", *paths]) == 0
         out = capsys.readouterr().out
         assert out.index("9_3:") < out.index("9_4:") < out.index("12n_66:")
 
@@ -61,6 +61,18 @@ class TestExact:
         assert payload["n"] == 10
         assert payload["patterns"] == 92
         assert sum(payload["descent_histogram"].values()) == 92
+
+    def test_agrees_with_superbridge_number(self, capsys, corpus):
+        from superbridge import superbridge_number
+        from superbridge.linalg import format_rational
+
+        for name in ("9_22", "11n_72", "12n_553"):
+            assert main(["exact", _data(f"realizations/{name}.txt"), "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            result = superbridge_number(corpus[name].knot)
+            assert payload["value"] == result.value
+            assert payload["patterns"] == result.pattern_count
+            assert payload["witness"] == [format_rational(c) for c in result.witness_direction.v]
 
 
 class TestFind:
@@ -190,4 +202,17 @@ class TestSearchCommand:
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "x.cert"],
+        ["search", "--edges", "6", "--target", "2", "--samples", "1", "--out", "x"],
+    ],
+)
+def test_jobs_flag_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", "3"])
     assert exc.value.code == 2

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +20,8 @@ from superbridge import (
     verify_null_combination,
     verify_separating,
 )
-from superbridge.gordan import DimensionMismatch
+import superbridge
+from superbridge.gordan import DimensionMismatch, null_vector_failure
 
 ANTIPODAL = GordanMatrix.from_columns([(1, 0, 0), (-1, 0, 0)])
 
@@ -62,6 +68,20 @@ class TestVerifiers:
         with pytest.raises(DimensionMismatch):
             verify_null_combination(ANTIPODAL, (1, 1, 1))
 
+    @pytest.mark.parametrize(
+        "u, failure",
+        [
+            ((1, 1, 1), "dimension"),
+            ((-1, 0), "negative_entry"),
+            ((0, 0), "zero_vector"),
+            ((2, 1), "nonzero_residual"),
+            ((3, 3), None),
+            ((Fraction(1, 3), Fraction(1, 3)), None),
+        ],
+    )
+    def test_null_vector_failure_names_first_failed_check(self, u, failure):
+        assert null_vector_failure(ANTIPODAL.columns, u) == failure
+
     def test_null_accepts_rationals(self):
         assert verify_null_combination(ANTIPODAL, (Fraction(1, 3), Fraction(1, 3)))
 
@@ -92,6 +112,35 @@ def test_certificate_scale_invariance():
     m = GordanMatrix.from_columns([(1, 0, 0), (1, 1, 0)])
     cert = gordan_decide(m)
     assert verify_separating(m, tuple(7 * x for x in cert.v))
+
+
+def test_recheck_survives_optimize():
+    """Under python -O a bad simplex answer still raises instead of returning."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from fractions import Fraction
+        import superbridge.gordan as gordan
+
+        if sys.flags.optimize != 1:
+            sys.exit(3)
+        # A "feasible" answer that is not a null vector of the matrix.
+        gordan._phase_one = lambda a: (True, [Fraction(1), Fraction(0)], None)
+        m = gordan.GordanMatrix.from_columns([(1, 0, 0), (-1, 0, 0)])
+        try:
+            gordan.gordan_decide(m)
+        except gordan.SuperbridgeError:
+            sys.exit(0)
+        sys.exit(4)
+        """
+    )
+    src = str(Path(superbridge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
 
 
 def test_zero_column_forces_null_side():
