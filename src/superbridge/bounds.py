@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .linalg import SuperbridgeError
+from .linalg import ParseError, SuperbridgeError, read_utf8
 
 #: The only knot types that may have superbridge index 3.
 THREE_SUPERBRIDGE_CANDIDATES = frozenset(
@@ -176,11 +176,6 @@ def render_table(
     raise SuperbridgeError(f"unknown table format {fmt!r}")
 
 
-def _opt_int(s: str) -> Optional[int]:
-    s = s.strip()
-    return int(s) if s else None
-
-
 def _flag(s: str) -> bool:
     return s.strip().lower() in {"1", "true", "yes"}
 
@@ -189,21 +184,33 @@ def load_metadata_csv(source) -> list[KnotRecord]:
     """Parse the metadata CSV (header row required, UTF-8).
 
     ``source`` is a path or an open text handle. The 3-superbridge flag is
-    cross-checked against the built-in candidate list.
+    cross-checked against the built-in candidate list. Malformed rows and
+    undecodable bytes raise ParseError naming the CSV line.
     """
     if hasattr(source, "read"):
-        return _parse_metadata(source)
-    with open(source, encoding="utf-8", newline="") as fh:
-        return _parse_metadata(fh)
+        return _parse_metadata(source, getattr(source, "name", "<metadata>"))
+    return _parse_metadata(io.StringIO(read_utf8(source), newline=""), source)
 
 
-def _parse_metadata(fh) -> list[KnotRecord]:
+def _parse_metadata(fh, path) -> list[KnotRecord]:
     reader = csv.DictReader(fh)
     missing = set(METADATA_COLUMNS) - set(reader.fieldnames or ())
     if missing:
         raise SuperbridgeError(f"metadata missing columns: {sorted(missing)}")
+
+    def opt_int(row: dict, column: str) -> Optional[int]:
+        s = row[column].strip()
+        try:
+            return int(s) if s else None
+        except ValueError:
+            raise ParseError(
+                path, reader.line_num, f"column {column}: expected an integer, got {s!r}"
+            ) from None
+
     out = []
     for row in reader:
+        if None in row.values():
+            raise ParseError(path, reader.line_num, "row has too few fields")
         name = row["name"].strip()
         flag = _flag(row["jeon_jin_flag"])
         if flag != (name in THREE_SUPERBRIDGE_CANDIDATES):
@@ -213,12 +220,12 @@ def _parse_metadata(fh) -> list[KnotRecord]:
         out.append(
             KnotRecord(
                 name=name,
-                bridge_index=_opt_int(row["bridge_index"]),
-                stick_upper=_opt_int(row["stick_upper"]),
+                bridge_index=opt_int(row, "bridge_index"),
+                stick_upper=opt_int(row, "stick_upper"),
                 is_trivial=_flag(row["trivial_flag"]),
                 jeon_jin_exception=flag,
-                certified_upper=_opt_int(row["certified_upper"]),
-                known_exact=_opt_int(row["known_exact"]),
+                certified_upper=opt_int(row, "certified_upper"),
+                known_exact=opt_int(row, "known_exact"),
                 citation=row["citation"].strip(),
             )
         )

@@ -14,10 +14,11 @@ per column, generated by rotating the edge list rather than shifting the
 sign mask. Pinned against the shipped data, 0-based column c of such a
 matrix is the null vector of shifted system E_j with j = ((1 - c) mod n,
 mapped into 1..n), after rotating its entries forward by c + 1 positions
-(direct-frame u[p] = column[(p - c - 1) mod n]). ``verify_odd_bundle``
-does not rely on this: it searches columns and rotations per system and
-verifies each candidate exactly, so any layout whose columns are genuine
-null vectors is accepted; the matched assignment is reported.
+(direct-frame u[p] = column[(p - c - 1) mod n]). ``find_certificate``
+writes the direct layout instead: column j - 1, unrotated, for E_j.
+``verify_odd_bundle`` checks each system against exactly these two
+candidates, direct first, and verifies each exactly; any other arrangement
+(permuted columns, say) leaves systems uncovered and is rejected.
 """
 
 from __future__ import annotations
@@ -203,10 +204,11 @@ def published_column_for_system(n: int, j: int) -> tuple[int, int]:
 def verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBound:
     """Exact check that every shifted system has a null vector in the bundle.
 
-    Accepts both the published rotated-column layout and the direct layout
-    (column j-1 unrotated for system j); any other arrangement is found by
-    scanning columns and rotations. Every candidate is verified exactly, so
-    the liberal search cannot overcertify. Certifies sb(p) <= floor(n/2)-1.
+    System j is checked against the direct layout (column j-1, unrotated)
+    and then the published layout (``published_column_for_system``); no
+    other arrangement is tried. Each candidate is verified exactly, and
+    the matched (column, rotation) is reported per system. Certifies
+    sb(p) <= floor(n/2)-1.
     """
     n = p.n
     if n % 2 != 1:
@@ -219,25 +221,18 @@ def verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBo
         )
     systems = [m.columns for m in build_odd_systems(_integer_edge_vectors(p)).systems]
     columns = [primitive_vector(bundle.column(c)) for c in range(n)]
-    rotated = {
-        (c, r): tuple(columns[c][(q - r) % n] for q in range(n))
-        for c in range(n)
-        for r in range(n)
-    }
+
+    def failure(j: int, c: int, r: int) -> Optional[str]:
+        rotated = tuple(columns[c][(q - r) % n] for q in range(n))
+        return null_vector_failure(systems[j - 1], rotated)
+
     assignment = []
     uncovered = []
     for j in range(1, n + 1):
-        candidates = [(j - 1, 0), published_column_for_system(n, j)]
-        candidates += [
-            (c, r) for c in range(n) for r in range(n) if (c, r) not in candidates
-        ]
-        hit = None
-        for c, r in candidates:
-            if null_vector_failure(systems[j - 1], rotated[(c, r)]) is None:
-                hit = (j, c, r)
+        for c, r in ((j - 1, 0), published_column_for_system(n, j)):
+            if failure(j, c, r) is None:
+                assignment.append((j, c, r))
                 break
-        if hit:
-            assignment.append(hit)
         else:
             uncovered.append(j)
     if uncovered:
@@ -245,11 +240,10 @@ def verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBo
         # system, so tampering reports point at the culprit entry.
         j = uncovered[0]
         c, r = published_column_for_system(n, j)
-        reason = null_vector_failure(systems[j - 1], rotated[(c, r)])
         raise InvalidCertificate(
             "uncovered_system",
             f"{p.name}: no valid null vector for shifted system(s) {uncovered}; "
-            f"published-layout column {c} fails check '{reason}' for system {j}",
+            f"published-layout column {c} fails check '{failure(j, c, r)}' for system {j}",
             column=c,
             systems=tuple(uncovered),
         )

@@ -24,35 +24,30 @@ from typing import Optional
 from .certificates import CertificateBundle, VerifiedBound, verify_bundle
 from .enumeration import superbridge_number
 from .geometry import PolygonalKnot
-from .linalg import SuperbridgeError, format_rational, rational
-
-
-class ParseError(SuperbridgeError):
-    def __init__(self, path, line_no: int, message: str):
-        self.path = str(path)
-        self.line_no = line_no
-        super().__init__(f"{path}:{line_no}: {message}")
+from .linalg import ParseError, SuperbridgeError, format_rational, rational, read_utf8
 
 
 def _content_lines(path):
-    text = Path(path).read_text(encoding="utf-8")
-    for i, raw in enumerate(text.splitlines(), start=1):
+    for i, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield i, line
 
 
+def _vertex_row(path, line_no: int, line: str) -> tuple:
+    """Three rational coordinates from one vertex line."""
+    parts = line.split()
+    if len(parts) != 3:
+        raise ParseError(path, line_no, f"expected 3 coordinates, got {len(parts)}")
+    try:
+        return tuple(rational(tok) for tok in parts)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(path, line_no, f"bad coordinate: {exc}") from exc
+
+
 def load_realization(path) -> PolygonalKnot:
     """Parse a coordinate file; the knot name is the file stem."""
-    rows = []
-    for line_no, line in _content_lines(path):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(path, line_no, f"expected 3 coordinates, got {len(parts)}")
-        try:
-            rows.append(tuple(rational(tok) for tok in parts))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(path, line_no, f"bad coordinate: {exc}") from exc
+    rows = [_vertex_row(path, line_no, line) for line_no, line in _content_lines(path)]
     if not rows:
         raise ParseError(path, 1, "no vertices found")
     return PolygonalKnot.from_coordinates(Path(path).stem, rows)
@@ -97,10 +92,7 @@ def load_certificate_document(path) -> CertificateDocument:
         line_no, line = lines[pos]
         if line.startswith(("u:", "U:")):
             break
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(path, line_no, f"expected 3 coordinates, got {len(parts)}")
-        rows.append(tuple(rational(tok) for tok in parts))
+        rows.append(_vertex_row(path, line_no, line))
         pos += 1
     knot = PolygonalKnot.from_coordinates(name, rows)
     n = knot.n

@@ -106,27 +106,34 @@ def realizable_patterns(e: EdgeVectors) -> tuple[RealizablePattern, ...]:
                             )
                             found.setdefault(signs, (v0, d1, d2))
 
+    edge_max = max(abs(x) for p in prim for x in p)
     out = []
     for signs in sorted(found):
         v0, d1, d2 = found[signs]
         out.append(
             RealizablePattern(
                 pattern=SignPattern(signs=signs),
-                witness=Direction(_shrink_witness(prim, signs, v0, d1, d2)),
+                witness=Direction(_shrink_witness(prim, signs, v0, d1, d2, edge_max)),
             )
         )
     return tuple(out)
 
 
-def _shrink_witness(prim, signs, v0, d1, d2):
+def _shrink_witness(prim, signs, v0, d1, d2, edge_max):
     """Integer direction whose exact signs equal the symbolic pattern.
 
     Tries w = K^2 v0 + K d1 + d2 for K = 2^10, 2^11, ... in plain ints. That
     is a positive multiple of v0 + eps d1 + eps^2 d2 at eps = 1/K, so the
     signs are those of the lexicographic perturbation once K is large.
+    Every v0 . e_m is an integer, so it is 0 or at least 1 in size; hence
+    any K > max_m(|d1 . e_m| + |d2 . e_m|) is large enough. That maximum is
+    at most (|d1|_1 + |d2|_1) * edge_max, with edge_max the largest |entry|
+    of any e_m, so a trial past this bound can only fail through an
+    internal error.
     """
+    bound = (sum(map(abs, d1)) + sum(map(abs, d2))) * edge_max
     k = 1 << 10
-    for _ in range(256):
+    while True:
         w = tuple(k * k * v0[d] + k * d1[d] + d2[d] for d in range(3))
         for em, want in zip(prim, signs):
             val = dot3(w, em)
@@ -134,8 +141,9 @@ def _shrink_witness(prim, signs, v0, d1, d2):
                 break
         else:
             return tuple(Fraction(x) for x in primitive_vector(w))
+        if k > bound:
+            raise SuperbridgeError("internal: witness shrink failed past its proven bound")
         k *= 2
-    raise SuperbridgeError("internal: witness shrink did not terminate")
 
 
 def jin_upper_bound(p: PolygonalKnot) -> int:

@@ -1,13 +1,16 @@
 """Exact rational 3-vector arithmetic used throughout the package.
 
 Vectors are plain tuples of ``fractions.Fraction``; everything here is a
-pure function. Floating point never enters the certificate pipeline.
+pure function. Floating point never enters the certificate pipeline. The
+package's error base classes live here too, with the one UTF-8 decoding
+step every input file goes through.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 from typing import Iterable, Sequence
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
@@ -17,6 +20,25 @@ Rational = int | Fraction | str
 
 class SuperbridgeError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class ParseError(SuperbridgeError):
+    """Malformed input file; the message reads ``<path>:<line>: <problem>``."""
+
+    def __init__(self, path, line_no: int, message: str):
+        self.path = str(path)
+        self.line_no = line_no
+        super().__init__(f"{path}:{line_no}: {message}")
+
+
+def read_utf8(path) -> str:
+    """Text of a UTF-8 file; undecodable bytes raise ParseError at their line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, line_no, f"not UTF-8: {exc.reason}") from None
 
 
 def rational(x: Rational) -> Fraction:
@@ -32,20 +54,12 @@ def vec3(x: Rational, y: Rational, z: Rational) -> Vec3:
     return (rational(x), rational(y), rational(z))
 
 
-def add3(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
 def sub3(a: Vec3, b: Vec3) -> Vec3:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
 def neg3(a: Vec3) -> Vec3:
     return (-a[0], -a[1], -a[2])
-
-
-def scale3(c: Fraction | int, a: Vec3) -> Vec3:
-    return (c * a[0], c * a[1], c * a[2])
 
 
 def dot3(a: Sequence, b: Sequence) -> Fraction | int:

@@ -9,9 +9,8 @@ only when its exact value provably exceeds the target.
 The sampler is a baseline: edge directions are drawn isotropically,
 alternately renormalized and closed in floating point, then snapped to a
 rational grid with the residual closure defect folded in exactly. It is
-deliberately simple and lives behind ``EdgeSampler`` so a different
-ensemble can be plugged in. Knot-type identification of candidates is out
-of scope; candidates are written to files for external classification.
+deliberately simple. Knot-type identification of candidates is out of
+scope; candidates are written to files for external classification.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .certificates import CertificateBundle, find_certificate
 from .enumeration import jin_upper_bound, sampled_lower_bound, superbridge_number
@@ -31,9 +30,6 @@ from .linalg import Rational, SuperbridgeError, rational, vec3
 class RetryExhausted(SuperbridgeError):
     """Confinement rejection sampling gave up."""
 
-
-#: Draws n float edge directions; replaceable ensemble hook.
-EdgeSampler = Callable[[int, random.Random], list[list[float]]]
 
 _GRID = 1 << 24
 _MAX_TRIES = 10**6
@@ -57,6 +53,16 @@ class SearchConfig:
             raise SuperbridgeError("target must be in [1, floor(n/2)]")
         if self.samples < 0 or self.screen_samples < 1:
             raise SuperbridgeError("bad sample counts")
+        # Validated only: the stored value is kept as given, so manifests
+        # record the radius exactly as the user wrote it.
+        try:
+            radius = rational(self.confinement_radius)
+        except (ValueError, ZeroDivisionError):
+            radius = None
+        if radius is None or radius <= 0:
+            raise SuperbridgeError(
+                f"confinement radius must be a positive rational, got {self.confinement_radius!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,6 @@ def random_equilateral_polygon(
     n: int,
     confinement_radius: Rational,
     rng: random.Random,
-    edge_sampler: EdgeSampler = _isotropic_edges,
     name: str = "random",
 ) -> PolygonalKnot:
     """Closed rational polygon, near-unit edges, vertices in confinement.
@@ -120,7 +125,7 @@ def random_equilateral_polygon(
     radius = rational(confinement_radius)
     radius_sq = radius * radius
     for _ in range(_MAX_TRIES):
-        edges = edge_sampler(n, rng)
+        edges = _isotropic_edges(n, rng)
         _close_and_equalize(edges)
         exact = [
             vec3(*(Fraction(round(x * _GRID), _GRID) for x in e)) for e in edges

@@ -14,13 +14,14 @@ from superbridge import (
     upper_bound,
 )
 from superbridge.bounds import (
+    METADATA_COLUMNS,
     InconsistentRecord,
     NoUpperBoundAvailable,
     dump_metadata_csv,
     knot_sort_key,
 )
 from superbridge.corpus import data_root
-from superbridge.linalg import SuperbridgeError
+from superbridge.linalg import ParseError, SuperbridgeError
 
 
 def _meta(name):
@@ -173,6 +174,24 @@ class TestMetadataCsv:
         )
         with pytest.raises(SuperbridgeError):
             load_metadata_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "column", ["bridge_index", "stick_upper", "certified_upper", "known_exact"]
+    )
+    def test_non_integer_field_names_line_and_column(self, column):
+        row = dict(zip(METADATA_COLUMNS, ["3_1", "2", "6", "0", "1", "", "", "x"]))
+        row[column] = "2.5"
+        text = ",".join(METADATA_COLUMNS) + "\n4_1,2,7,0,1,,,x\n" + ",".join(row.values()) + "\n"
+        with pytest.raises(ParseError) as exc:
+            load_metadata_csv(io.StringIO(text))
+        assert exc.value.line_no == 3
+        assert column in str(exc.value)
+
+    def test_short_row_rejected(self):
+        text = ",".join(METADATA_COLUMNS) + "\n3_1,2\n"
+        with pytest.raises(ParseError) as exc:
+            load_metadata_csv(io.StringIO(text))
+        assert exc.value.line_no == 2
 
     def test_missing_column(self):
         with pytest.raises(SuperbridgeError):

@@ -20,6 +20,11 @@ from superbridge.certificates import (
     published_column_for_system,
     shift_sign,
 )
+from superbridge.corpus import (
+    CertificateDocument,
+    load_certificate_document,
+    save_certificate_document,
+)
 
 
 class TestEvenSystem:
@@ -168,6 +173,41 @@ class TestVerifyOdd:
         expected_system = ((1 - 7) % n) or n
         assert expected_system in exc.value.systems
 
+    def test_swapped_columns_rejected(self, corpus):
+        """Only the two documented layouts count; a column swap is not one."""
+        entry = corpus["9_36"]
+        n = entry.knot.n
+        swapped = tuple((row[1], row[0], *row[2:]) for row in entry.certificate.matrix)
+        with pytest.raises(InvalidCertificate) as exc:
+            verify_odd_bundle(entry.knot, CertificateBundle(matrix=swapped))
+        assert exc.value.check == "uncovered_system"
+        # published columns 0 and 1 hold the vectors of systems 1 and n
+        assert exc.value.systems == (1, n)
+
+    def test_mixed_layouts_verify(self, corpus):
+        """Each system may sit in its direct or its published column."""
+        for name, entry in corpus.items():
+            p = entry.knot
+            if p.n % 2 == 0 or entry.certificate is None:
+                continue
+            n = p.n
+            published = entry.certificate
+            # system j's direct column is the published column of system
+            # (2 - j) mod n, so move both members of such a pair together
+            moved = {2, n, 3, n - 1}
+            columns = [published.column(c) for c in range(n)]
+            for j in moved:
+                c, r = published_column_for_system(n, j)
+                col = published.column(c)
+                columns[j - 1] = tuple(col[(q - r) % n] for q in range(n))
+            matrix = tuple(tuple(col[r] for col in columns) for r in range(n))
+            vb = verify_odd_bundle(p, CertificateBundle(matrix=matrix))
+            want = tuple(
+                (j, j - 1, 0) if j in moved else (j, *published_column_for_system(n, j))
+                for j in range(1, n + 1)
+            )
+            assert vb.assignment == want, name
+
     def test_wrong_shape_rejected(self, corpus):
         entry = corpus["9_36"]
         with pytest.raises(InvalidCertificate) as exc:
@@ -247,12 +287,24 @@ class TestFindCertificate:
         for ev in found.evidence:
             assert 1 <= ev.system <= 11
 
-    def test_odd_bundle_round_trip(self, corpus):
-        p = corpus["9_25"].knot
-        found = find_certificate(p)
-        assert found.bundle is not None
-        vb = verify_odd_bundle(p, found.bundle)
-        assert vb.bound == 4
+    def test_odd_bundle_round_trip(self, corpus, tmp_path):
+        """find -> save -> load -> verify on every certified odd corpus knot."""
+        checked = 0
+        for name, entry in corpus.items():
+            p = entry.knot
+            if p.n % 2 == 0 or entry.certificate is None:
+                continue
+            found = find_certificate(p)
+            assert found.bundle is not None, name
+            path = tmp_path / f"{name}.cert"
+            save_certificate_document(CertificateDocument(knot=p, bundle=found.bundle), path)
+            doc = load_certificate_document(path)
+            vb = verify_odd_bundle(doc.knot, doc.bundle)
+            assert vb.bound == p.n // 2 - 1
+            # find writes the direct layout, so no published candidate is needed
+            assert vb.assignment == tuple((j, j - 1, 0) for j in range(1, p.n + 1)), name
+            checked += 1
+        assert checked == 16
 
 
 class TestSoundnessLinks:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import superbridge
 from superbridge.cli import main
 from superbridge.corpus import data_root
 
@@ -216,3 +221,41 @@ def test_jobs_flag_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--jobs", "3"])
     assert exc.value.code == 2
+
+
+_CERT = "knot: sq\nparity: even\nvertices:\n0 0 0\n{} 0 0\n1 1 0\n0 1 0\nu: 1 0 1 0\n"
+_HEADER = "name,bridge_index,stick_upper,trivial_flag,jeon_jin_flag,certified_upper,known_exact,citation\n"
+_SEARCH = ["search", "--edges", "6", "--target", "2", "--samples", "1"]
+
+
+#: file name -> (file content or None, argv before the path, expected "<path>:<line>: " suffix)
+_BAD_INPUTS = {
+    "zero.cert": (_CERT.format("1/0").encode(), ["verify"], ":5: "),
+    "word.cert": (_CERT.format("abc").encode(), ["verify"], ":5: "),
+    "latin1.txt": (b"0 0 0\n1 0 0\n0 1 0 # caf\xe9\n", ["exact"], ":3: "),
+    "int.csv": ((_HEADER + "3_1,2,six,0,1,,,x\n").encode(), ["table", "--metadata"], ":2: "),
+    "latin1.csv": (_HEADER.encode() + b"3_1,2,6,0,1,,,caf\xe9\n", ["table", "--metadata"], ":2: "),
+    "radius_word": (None, [*_SEARCH, "--radius", "abc", "--out"], ""),
+    "radius_zero": (None, [*_SEARCH, "--radius", "0", "--out"], ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_INPUTS))
+def test_bad_input_is_a_typed_error(tmp_path, name):
+    """Exit code 1 and one error line, never a traceback."""
+    content, argv, where = _BAD_INPUTS[name]
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    src = str(Path(superbridge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "superbridge.cli", *argv, str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    if where:
+        assert lines[0].startswith(f"error: {path}{where}")

@@ -27,7 +27,11 @@ class TestRealizablePatterns:
         assert all(rp.pattern.descents == 1 for rp in pats)
 
     def test_witnesses_realize_their_patterns(self, square, skew_quad, triangle):
-        for p in (square, skew_quad, triangle):
+        # one coordinate of 10**400 makes witness recovery need a huge K
+        huge = PolygonalKnot.from_coordinates(
+            "huge", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (10**400, 0, 1)]
+        )
+        for p in (square, skew_quad, triangle, huge):
             e = edge_vectors(p)
             for rp in realizable_patterns(e):
                 assert sign_pattern(e, rp.witness).signs == rp.pattern.signs

@@ -74,6 +74,15 @@ class TestConfig:
         with pytest.raises(SuperbridgeError):
             SearchConfig(n=2, target=1, samples=1, seed=0)
 
+    @pytest.mark.parametrize("radius", ["abc", "1/0", "0", "-3/2", 0, Fraction(-1)])
+    def test_radius_must_be_positive_rational(self, radius):
+        with pytest.raises(SuperbridgeError):
+            SearchConfig(n=6, target=2, samples=1, seed=0, confinement_radius=radius)
+
+    def test_radius_is_stored_as_given(self):
+        cfg = SearchConfig(n=6, target=2, samples=1, seed=0, confinement_radius=" 5/2")
+        assert cfg.confinement_radius == " 5/2"
+
 
 class TestSearch:
     def test_jin_target_accepts_everything(self):
