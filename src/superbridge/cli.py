@@ -2,7 +2,8 @@
 
 Subcommands: verify, exact, find, search, table, normalize. Exit status 0
 on success, 1 on computational failure (invalid certificate, degenerate
-input, parse error), 2 on usage errors. ``--json`` emits versioned
+input, parse error), 2 on usage errors. A closed stdout (``sb ... | head``)
+also exits 1, with nothing on stderr. ``--json`` emits versioned
 machine-readable output (schema 1).
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -269,7 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout; devnull keeps the flush at exit quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (SuperbridgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,16 +6,18 @@ For a rational 3 x l matrix A, exactly one of the following holds:
 * some nonzero u >= 0 satisfies A u = 0.
 
 ``gordan_decide`` constructs a certificate for whichever side holds, using
-an exact rational phase-one simplex on ``{u >= 0 : A u = 0, sum(u) = 1}``
-with Bland's anti-cycling rule. Infeasibility yields dual multipliers from
+an exact phase-one simplex on ``{u >= 0 : A u = 0, sum(u) = 1}`` with
+Bland's anti-cycling rule. Infeasibility yields dual multipliers from
 which the separating direction is read off. Every certificate is verified
-in exact arithmetic before being returned.
+in exact arithmetic before being returned. The simplex pivots on integer
+rows; ``_phase_one`` says why Bland's choices are those of a rational one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from .linalg import SuperbridgeError, Vec3, dot3, primitive_vector, rational, vec3
@@ -112,78 +114,59 @@ def gordan_decide(a: GordanMatrix) -> Certificate:
 
 
 def _phase_one(a: GordanMatrix):
-    """Exact phase-one simplex for {u >= 0 : A u = 0, sum(u) = 1}.
+    """Phase-one simplex on integer rows for {u >= 0 : A u = 0, sum(u) = 1}.
 
     Returns (True, u, None) on feasibility, else (False, None, y) where y
     are the optimal dual multipliers of the four equality rows.
-    """
-    ell = len(a.columns)
-    m = 4
-    width = ell + m
-    # Constraint rows [A; 1] with rhs (0, 0, 0, 1), artificial basis.
-    rows: list[list[Fraction]] = []
-    for d in range(3):
-        rows.append([Fraction(a.columns[j][d]) for j in range(ell)])
-    rows.append([Fraction(1)] * ell)
-    rhs = [Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
-    for r in range(m):
-        art = [Fraction(0)] * m
-        art[r] = Fraction(1)
-        rows[r] = rows[r] + art
-    basis = [ell + r for r in range(m)]
-    # Reduced-cost row for minimizing the artificial sum, adjusted for the
-    # initial all-artificial basis.
-    obj = [Fraction(0)] * ell + [Fraction(1)] * m
-    for r in range(m):
-        for q in range(width):
-            obj[q] -= rows[r][q]
 
-    while True:
-        enter = next((q for q in range(width) if obj[q] < 0), None)
-        if enter is None:
-            break
-        leave_row = None
-        best = None
+    Rows [A | I | rhs | 0] and the reduced-cost row (a sum of rows, so its
+    signs depend on the column scaling) are built from the rational columns,
+    then each row is scaled once to primitive integers and from then on is
+    known only up to its own positive factor. No factor changes a pivot:
+    Bland's entering rule reads only signs of the reduced-cost row, and the
+    ratio test compares rhs/coef within one row. The reduced-cost row's last
+    entry is its factor (1 in rational terms), so the duals come back exact.
+    """
+    ell, m = len(a.columns), 4
+    width = ell + m
+    rows = [[col[d] for col in a.columns] for d in range(3)] + [[1] * ell]
+    for r in range(m):
+        rows[r] += [int(i == r) for i in range(m)] + [int(r == 3), 0]
+    # Minimize the artificial sum from the all-artificial basis; the rhs
+    # entry of this row is minus the objective value.
+    obj = [-sum(row[q] for row in rows) for q in range(ell)] + [0] * m + [-1, 1]
+    rows = [list(primitive_vector(row)) for row in rows + [obj]]
+    basis = list(range(ell, width))
+
+    while (enter := next((q for q in range(width) if rows[m][q] < 0), None)) is not None:
+        leave = None
         for r in range(m):
             coef = rows[r][enter]
-            if coef > 0:
-                ratio = rhs[r] / coef
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[r] < basis[leave_row])
-                ):
-                    best = ratio
-                    leave_row = r
-        if leave_row is None:
+            if coef <= 0:
+                continue
+            if leave is not None:
+                # rhs/coef against the best row so far; Bland breaks ties
+                lhs, rhs = rows[r][width] * rows[leave][enter], rows[leave][width] * coef
+                if lhs > rhs or (lhs == rhs and basis[r] > basis[leave]):
+                    continue
+            leave = r
+        if leave is None:
             raise SuperbridgeError("internal: phase-one objective unbounded")
-        _pivot(rows, rhs, obj, leave_row, enter)
-        basis[leave_row] = enter
+        pivot, p = rows[leave], rows[leave][enter]
+        for r, row in enumerate(rows):
+            f = row[enter]
+            if r != leave and f != 0:
+                row = [x * p - f * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
+        basis[leave] = enter
 
-    z = sum(rhs[r] for r in range(m) if basis[r] >= ell)
-    if z == 0:
+    obj = rows[m]
+    if obj[width] == 0:
         u = [Fraction(0)] * ell
         for r in range(m):
             if basis[r] < ell:
-                u[basis[r]] = rhs[r]
+                u[basis[r]] = Fraction(rows[r][width], rows[r][basis[r]])
         return True, u, None
-    y = [Fraction(1) - obj[ell + i] for i in range(m)]
-    return False, None, y
-
-
-def _pivot(rows, rhs, obj, r, q):
-    piv = rows[r][q]
-    inv = Fraction(1) / piv
-    rows[r] = [x * inv for x in rows[r]]
-    rhs[r] *= inv
-    for rr in range(len(rows)):
-        if rr == r:
-            continue
-        f = rows[rr][q]
-        if f != 0:
-            rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
-            rhs[rr] -= f * rhs[r]
-    f = obj[q]
-    if f != 0:
-        for i in range(len(obj)):
-            obj[i] -= f * rows[r][i]
+    scale = obj[width + 1]
+    return False, None, [Fraction(scale - obj[ell + i], scale) for i in range(m)]

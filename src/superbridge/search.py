@@ -35,6 +35,21 @@ _GRID = 1 << 24
 _MAX_TRIES = 10**6
 
 
+def _check_radius(value: Rational) -> Fraction:
+    """``value`` as a Fraction; SuperbridgeError unless it is at least 1/2.
+
+    Sampled edges have length 1 to within 1e-6 and both ends of each lie
+    within the radius of the vertex centroid, so no polygon fits in less.
+    """
+    try:
+        radius = rational(value)
+    except (ValueError, ZeroDivisionError):
+        radius = None
+    if radius is None or radius < Fraction(1, 2):
+        raise SuperbridgeError(f"confinement radius must be a rational >= 1/2, got {value!r}")
+    return radius
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Parameters of one search run; fully determines the candidate stream."""
@@ -55,14 +70,7 @@ class SearchConfig:
             raise SuperbridgeError("bad sample counts")
         # Validated only: the stored value is kept as given, so manifests
         # record the radius exactly as the user wrote it.
-        try:
-            radius = rational(self.confinement_radius)
-        except (ValueError, ZeroDivisionError):
-            radius = None
-        if radius is None or radius <= 0:
-            raise SuperbridgeError(
-                f"confinement radius must be a positive rational, got {self.confinement_radius!r}"
-            )
+        _check_radius(self.confinement_radius)
 
 
 @dataclass(frozen=True)
@@ -121,8 +129,9 @@ def random_equilateral_polygon(
     arithmetic. Every vertex lies within ``confinement_radius`` of the
     vertex centroid (exact squared-distance comparison); polygons outside
     confinement are rejected and redrawn, deterministically in ``rng``.
+    A radius below 1/2 raises SuperbridgeError before any draw.
     """
-    radius = rational(confinement_radius)
+    radius = _check_radius(confinement_radius)
     radius_sq = radius * radius
     for _ in range(_MAX_TRIES):
         edges = _isotropic_edges(n, rng)
@@ -155,17 +164,14 @@ def random_equilateral_polygon(
     )
 
 
-def _child_seed(seed: int, index: int) -> int:
-    return seed * 1_000_003 + index
-
-
 @dataclass
 class SearchRun:
     """Lazy candidate stream; ``stats`` is complete once iteration ends.
 
-    Candidates are a pure function of the config: sample i uses the child
-    seed derived from (seed, i) only, so the stream is reproducible and
-    independent of any batching or parallel screening arrangement.
+    Candidates are a pure function of the config: sample i draws its
+    polygon, then its screen seed, from ``random.Random(f"{seed}:{i}")``.
+    The screen never exceeds the exact value, so that seed can move a sample
+    between ``screened_out`` and rejected-after-exact, but never a candidate.
     """
 
     config: SearchConfig
@@ -175,13 +181,12 @@ class SearchRun:
         cfg = self.config
         self.stats = SearchStats()
         for i in range(cfg.samples):
-            child = _child_seed(cfg.seed, i)
             rng = random.Random(f"{cfg.seed}:{i}")
             p = random_equilateral_polygon(
                 cfg.n, cfg.confinement_radius, rng, name=f"rand{cfg.n}-{cfg.seed}-{i}"
             )
             self.stats.generated += 1
-            screen = sampled_lower_bound(p, cfg.screen_samples, seed=child)
+            screen = sampled_lower_bound(p, cfg.screen_samples, seed=rng.getrandbits(64))
             if screen > cfg.target:
                 self.stats.screened_out += 1
                 continue

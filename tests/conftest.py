@@ -1,9 +1,12 @@
 import math
+import os
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import superbridge
 from superbridge import PolygonalKnot, corpus_entries, quantize
 
 
@@ -11,6 +14,14 @@ from superbridge import PolygonalKnot, corpus_entries, quantize
 def corpus():
     """name -> CorpusEntry for the shipped realizations."""
     return {e.knot.name: e for e in corpus_entries()}
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """Environment in which a subprocess imports the package under test."""
+    src = str(Path(superbridge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture(scope="session")

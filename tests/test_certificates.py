@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -305,6 +307,50 @@ class TestFindCertificate:
             assert vb.assignment == tuple((j, j - 1, 0) for j in range(1, p.n + 1)), name
             checked += 1
         assert checked == 16
+
+
+def _find_digest(p: PolygonalKnot) -> str:
+    """sha256 of everything ``find_certificate`` returns for ``p``."""
+    found = find_certificate(p)
+    if found.bundle is None:
+        payload = {"evidence": [[ev.system, list(ev.direction)] for ev in found.evidence]}
+    elif found.bundle.vector is not None:
+        payload = {"u": list(found.bundle.vector)}
+    else:
+        payload = {"U": [list(row) for row in found.bundle.matrix]}
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+# Digests of what a rational simplex tableau returns: an integer tableau
+# that makes the same Bland choices returns every bundle and direction unchanged.
+FIND_DIGESTS = {
+    "9_3": "4736761eb0eb298fd7f692cfb7929d95550f0b5c21c58a04bf037b4b192d7e7f",
+    "9_4": "449b298bd1988b76f07e05cf227204d9776c6be5883e18155ebac0199dfd0ba4",
+    "9_6": "dfaa21edcd9f8b2e37af2ad25c4c0b358898e10e0853d846ae6e68de5b13e805",
+    "9_9": "296011e3d87f074b7d6433e8f0cf605cc45fe0b67a79a9987ac14c45d7f9987c",
+    "9_11": "b42e4f38486689701dca6c3a88a23ca596fc722bee14fb9a9e1dd8b9df589113",
+    "9_13": "b15e507f1e2720343cc124358edcb7376806f2031ceffa0a966fa4de2f7565da",
+    "9_17": "37b37d473596cdcd4dddd441c9185316ebccaed9a03c6db846a8794f0a32cfb1",
+    "9_18": "c24215d24b0188a4a11591b33fdfb1093c26bf48497fd64939b85805c8705e94",
+    "9_22": "fb17f6183e62f08f62c4dfa687e3b58915f6840e3ce585c6c358c472fdde5628",
+    "9_23": "ab44d83d9eaa755984e4a4a01629720c66095cc3d6236c6fb45f8b18cf075730",
+    "9_25": "84131baaf16092fdb8afb43e7da1dc802dbb6c6bc70cae105cbf61dee7416c61",
+    "9_27": "39921f7451996617265defc06b65c08c13919aedcf598f88cb304fc246a4cbd3",
+    "9_30": "c8c0bbc524e669f208e4bf666cfb8f6caf4eec64aa20212fa5f63c8b2c99555e",
+    "9_31": "e316c17fe6dfaa21bf7a6e9b01f535c66d956efcfd6a3a6c1f3f9e3343b62fad",
+    "9_36": "3b56c139319860cdeaf5cad335f910193c80813eac7509774dc642cf2baf847b",
+    "11n_72": "118cb224fc500ccd46aecacdcebb5f532f50c941af3df0a30873279fa8d080ed",
+    "11n_77": "67df123dd8b1212e63ee81b714253c14c522803ba3df79d49088ce268982504d",
+    "12n_60": "44ef8d7474de1ffde50fa8923f443945b0c1768a1bf02c32d6ed58722b679987",
+    "12n_66": "48ebabe805e7a33819f0f74ee41c3b2d300a69068c86c690b6555a4ee260dde2",
+    "12n_219": "10a0ec52db5792775f8cb822ca2ab46e275accfef4e74acbd3f1655d19dd2e88",
+    "12n_225": "ab1e5f3aa8a7a5d4cd1749c56cf38d812c3c1e6b0b4b2d0b2cf865c38fd1d3b0",
+    "12n_553": "dde695c22f033ad4e6e815c16725aa1266c174a603c98b71c89198f347ce90be",
+}
+
+
+def test_find_certificate_pinned_on_every_realization(corpus):
+    assert {name: _find_digest(e.knot) for name, e in corpus.items()} == FIND_DIGESTS
 
 
 class TestSoundnessLinks:

@@ -2,11 +2,10 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
+import time
 
 import pytest
 
-import superbridge
 from superbridge.cli import main
 from superbridge.corpus import data_root
 
@@ -237,21 +236,20 @@ _BAD_INPUTS = {
     "latin1.csv": (_HEADER.encode() + b"3_1,2,6,0,1,,,caf\xe9\n", ["table", "--metadata"], ":2: "),
     "radius_word": (None, [*_SEARCH, "--radius", "abc", "--out"], ""),
     "radius_zero": (None, [*_SEARCH, "--radius", "0", "--out"], ""),
+    "radius_small": (None, [*_SEARCH, "--radius", "1/100", "--out"], ""),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_INPUTS))
-def test_bad_input_is_a_typed_error(tmp_path, name):
+def test_bad_input_is_a_typed_error(tmp_path, name, package_env):
     """Exit code 1 and one error line, never a traceback."""
     content, argv, where = _BAD_INPUTS[name]
     path = tmp_path / name
     if content is not None:
         path.write_bytes(content)
-    src = str(Path(superbridge.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "superbridge.cli", *argv, str(path)],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=package_env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -259,3 +257,32 @@ def test_bad_input_is_a_typed_error(tmp_path, name):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     if where:
         assert lines[0].startswith(f"error: {path}{where}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", _data("realizations/9_22.txt")],
+        ["table", "--metadata", _data("metadata/rolfsen.csv")],
+    ],
+)
+def test_closed_stdout_exits_1_silently(argv, package_env):
+    """``sb ... | head`` after head has exited: exit 1, nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "superbridge.cli", *argv],
+            env=package_env, stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+def test_radius_below_half_fails_within_a_second(tmp_path, capsys):
+    start = time.perf_counter()
+    assert main([*_SEARCH, "--radius", "49/100", "--out", str(tmp_path)]) == 1
+    assert time.perf_counter() - start < 1
+    assert "1/2" in capsys.readouterr().err

@@ -1,10 +1,9 @@
-import os
+import hashlib
 import random
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +19,6 @@ from superbridge import (
     verify_null_combination,
     verify_separating,
 )
-import superbridge
 from superbridge.gordan import DimensionMismatch, null_vector_failure
 
 ANTIPODAL = GordanMatrix.from_columns([(1, 0, 0), (-1, 0, 0)])
@@ -114,7 +112,7 @@ def test_certificate_scale_invariance():
     assert verify_separating(m, tuple(7 * x for x in cert.v))
 
 
-def test_recheck_survives_optimize():
+def test_recheck_survives_optimize(package_env):
     """Under python -O a bad simplex answer still raises instead of returning."""
     script = textwrap.dedent(
         """
@@ -134,11 +132,9 @@ def test_recheck_survives_optimize():
         sys.exit(4)
         """
     )
-    src = str(Path(superbridge.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-O", "-c", script],
+        env=package_env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, (proc.returncode, proc.stderr)
 
@@ -182,3 +178,27 @@ def test_returned_certificate_always_verifies(m):
         for x in cert.v:
             g = gcd(g, abs(x))
         assert g == 1
+
+
+def _random_rational_matrix(rng: random.Random) -> GordanMatrix:
+    """A matrix drawn like ``rational_matrices``, from a seeded generator."""
+    cols = []
+    for _ in range(rng.randint(1, 13)):
+        col = []
+        for _ in range(3):
+            den = rng.randint(1, 10)
+            col.append(Fraction(rng.randint(-10 * den, 10 * den), den))
+        cols.append(tuple(col))
+    return GordanMatrix(columns=tuple(cols))
+
+
+def test_decisions_pinned_on_seeded_random_matrices():
+    """500 certificates, as recorded with the rational-tableau simplex."""
+    rng = random.Random(2024)
+    lines = []
+    for _ in range(500):
+        cert = gordan_decide(_random_rational_matrix(rng))
+        values = cert.u if isinstance(cert, NullCombination) else cert.v
+        lines.append(f"{type(cert).__name__} {' '.join(map(str, values))}\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "769fb10d9dafe368da7f576fda0693a0bf47df9e8900ed69974514c9e853fef7"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from superbridge import (
     superbridge_number,
     verify_bundle,
 )
-from superbridge.linalg import SuperbridgeError
+from superbridge.linalg import SuperbridgeError, format_rational
 from superbridge.search import RetryExhausted
 import importlib
 
@@ -60,9 +61,21 @@ class TestSampler:
                 assert dist_sq <= radius * radius
 
     def test_retry_exhausted(self, monkeypatch):
+        # 1/2 passes the radius check, but ten near-unit edges do not fit
         monkeypatch.setattr(search_mod, "_MAX_TRIES", 25)
         with pytest.raises(RetryExhausted):
-            random_equilateral_polygon(10, "1/100", random.Random(0))
+            random_equilateral_polygon(10, "1/2", random.Random(0))
+
+    @pytest.mark.parametrize("radius", ["1/100", "49/100", Fraction(1, 3)])
+    def test_radius_below_half_fails_before_sampling(self, monkeypatch, radius):
+        def no_draws(*args):
+            raise AssertionError("sampled a polygon")
+
+        monkeypatch.setattr(search_mod, "_isotropic_edges", no_draws)
+        with pytest.raises(SuperbridgeError, match="1/2"):
+            random_equilateral_polygon(10, radius, random.Random(0))
+        with pytest.raises(SuperbridgeError, match="1/2"):
+            SearchConfig(n=10, target=3, samples=1, seed=0, confinement_radius=radius)
 
 
 class TestConfig:
@@ -116,6 +129,18 @@ class TestSearch:
         run = search(cfg)
         assert list(run) == []
         assert run.stats.generated == 40
+
+    def test_candidate_stream_pinned(self):
+        """Names, coordinates and certificates as recorded with a separate
+        screen seed: the screen's seed cannot move a candidate."""
+        cfg = SearchConfig(n=6, target=2, samples=40, seed=9, screen_samples=64)
+        lines = []
+        for c in search(cfg):
+            coords = " ".join(format_rational(x) for v in c.knot.vertices for x in v)
+            lines.append(f"{c.knot.name} {c.exact_sb} {coords} {c.certificate}\n")
+        assert len(lines) == 13
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "087c5f76ce027ad986944c7b4eab834b7f19292392528a77788081f27d63a4d5"
 
     def test_deterministic_stream(self):
         cfg = SearchConfig(n=6, target=2, samples=12, seed=21, screen_samples=50)
