@@ -204,7 +204,7 @@ def _cmd_normalize(args) -> int:
         print("normalize: nothing to do (pass --pose and/or --digits)", file=sys.stderr)
         return 2
     if args.pose:
-        knot = normalize_pose(knot, tolerance=args.tolerance)
+        knot = normalize_pose(knot)
     if args.digits is not None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -262,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--pose", action="store_true")
     p.add_argument("--digits", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=1e-9)
     p.set_defaults(func=_cmd_normalize)
 
     return parser

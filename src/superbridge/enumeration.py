@@ -15,15 +15,18 @@ incident circle and then infinitesimally toward a tangent of a second
 (lexicographic two-level signs) lands in the sector flanking that ray, so
 taking both rays of both circles of every generating pair on both sides
 reaches every sector - including at vertices where three or more circles
-concur, since each concurrent pair regenerates the same vertex. An
-integer witness direction is recovered per pattern, in plain ints, as
-K^2 v0 + K d1 + d2 for growing K until its exact signs match.
+concur, since each concurrent pair regenerates the same vertex. A
+perturbation re-signs only the edges whose circles pass through v, none
+of them to zero, and the sectors at -v are those at v negated (see
+realizable_patterns). An integer witness direction is recovered per
+pattern as K^2 v0 + K d1 + d2 for growing K until its exact signs match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -35,10 +38,12 @@ from .geometry import (
     SignPattern,
     edge_vectors,
 )
-from .linalg import SuperbridgeError, canonical_line, cross3, dot3, primitive_vector
+from .linalg import SuperbridgeError, canonical_line, cross3, dot3, neg3, primitive_vector
 
 _DIRECTION_BOUND = 1 << 20
 _INT64_SAFE = (1 << 62) // (3 * _DIRECTION_BOUND)
+#: Most samples x edges the screen accepts (its int64 table is then 128 MiB).
+SCREEN_ENTRIES_MAX = 1 << 24
 
 
 class DegenerateEdgeSet(SuperbridgeError):
@@ -61,24 +66,19 @@ class SuperbridgeResult:
     certified_by: str = "enumeration"
 
 
-def _first_sign(a: int, b: int, c: int) -> int:
-    if a:
-        return 1 if a > 0 else -1
-    if b:
-        return 1 if b > 0 else -1
-    if c > 0:
-        return 1
-    if c < 0:
-        return -1
-    raise SuperbridgeError("internal: undetermined symbolic sign")
-
-
 def realizable_patterns(e: EdgeVectors) -> tuple[RealizablePattern, ...]:
     """All sign patterns realized on open arrangement cells, with witnesses.
 
     Output is sorted lexicographically by pattern and is closed under the
     global sign flip (antipodal cells). Raises DegenerateEdgeSet when the
     edges define fewer than two distinct great circles.
+
+    Each vertex v0 = na x nb is signed once; per perturbation (d1, d2) only
+    an edge with v0 . e_m = 0 is re-signed, by d1 . e_m or, if that is 0,
+    by d2 . e_m: then e_m is parallel to na, so d2 . e_m = +-|v0|^2 times a
+    nonzero factor. The 8 triples at -v0 are (-v0, -d1, -d2) with negated
+    signs, recorded after those at v0 in the same order, so each pattern's
+    witness is the first triple in this order that realizes it.
     """
     prim = [primitive_vector(edge) for edge in e.edges]
     circles: dict[tuple, tuple] = {}
@@ -91,32 +91,33 @@ def realizable_patterns(e: EdgeVectors) -> tuple[RealizablePattern, ...]:
     found: dict[tuple[int, ...], tuple] = {}
     for a in range(len(normals)):
         for b in range(a + 1, len(normals)):
-            vertex = cross3(normals[a], normals[b])
-            for v0 in (vertex, tuple(-x for x in vertex)):
-                for na, nb in ((normals[a], normals[b]), (normals[b], normals[a])):
-                    t1 = cross3(v0, na)
-                    t2 = cross3(v0, nb)
-                    for s1 in (1, -1):
-                        d1 = tuple(s1 * x for x in t1)
-                        for s2 in (1, -1):
-                            d2 = tuple(s2 * x for x in t2)
-                            signs = tuple(
-                                _first_sign(dot3(v0, em), dot3(d1, em), dot3(d2, em))
-                                for em in prim
-                            )
-                            found.setdefault(signs, (v0, d1, d2))
+            v0 = x, y, z = cross3(normals[a], normals[b])
+            dots = [x * ex + y * ey + z * ez for ex, ey, ez in prim]
+            incident = [m for m, d in enumerate(dots) if d == 0]
+            base = [1 if d > 0 else -1 for d in dots]
+            sides = []
+            for na, nb in ((normals[a], normals[b]), (normals[b], normals[a])):
+                t1, t2 = cross3(v0, na), cross3(v0, nb)
+                for d1 in (t1, neg3(t1)):
+                    for d2 in (t2, neg3(t2)):
+                        signs = base.copy()
+                        for m in incident:
+                            d = dot3(d1, prim[m]) or dot3(d2, prim[m])
+                            signs[m] = 1 if d > 0 else -1
+                        sides.append((tuple(signs), d1, d2))
+            for signs, d1, d2 in sides:
+                found.setdefault(signs, (v0, d1, d2))
+            for signs, d1, d2 in sides:
+                found.setdefault(tuple(-s for s in signs), (neg3(v0), neg3(d1), neg3(d2)))
 
     edge_max = max(abs(x) for p in prim for x in p)
-    out = []
-    for signs in sorted(found):
-        v0, d1, d2 = found[signs]
-        out.append(
-            RealizablePattern(
-                pattern=SignPattern(signs=signs),
-                witness=Direction(_shrink_witness(prim, signs, v0, d1, d2, edge_max)),
-            )
+    return tuple(
+        RealizablePattern(
+            pattern=SignPattern(signs=signs),
+            witness=Direction(_shrink_witness(prim, signs, *found[signs], edge_max)),
         )
-    return tuple(out)
+        for signs in sorted(found)
+    )
 
 
 def _shrink_witness(prim, signs, v0, d1, d2, edge_max):
@@ -177,25 +178,23 @@ def descent_histogram(patterns: tuple[RealizablePattern, ...]) -> dict[int, int]
     return dict(sorted(hist.items()))
 
 
-def _integer_edge_matrix(e: EdgeVectors) -> np.ndarray:
-    cols = [primitive_vector(edge) for edge in e.edges]
-    mat = np.array(cols, dtype=np.int64).T  # 3 x n
-    if np.abs(mat).max(initial=0) > _INT64_SAFE:
-        raise SuperbridgeError("edge coordinates too large for the sampling fast path")
-    return mat
-
-
 def sampled_lower_bound(p: PolygonalKnot, samples: int, seed: int) -> int:
     """Max descent count over pseudo-random generic integer directions.
 
     Deterministic for a fixed seed; non-generic draws are rejected and
     redrawn. Always a lower bound for (and in practice usually equal to)
-    the enumerated superbridge number.
+    the enumerated superbridge number. The seed must be an integer >= 0
+    and samples x edges at most SCREEN_ENTRIES_MAX.
     """
-    if samples < 1:
-        raise SuperbridgeError("samples must be >= 1")
-    e = edge_vectors(p)
-    mat = _integer_edge_matrix(e)
+    if not isinstance(seed, Integral) or seed < 0:
+        raise SuperbridgeError(f"seed must be an integer >= 0, got {seed!r}")
+    most = SCREEN_ENTRIES_MAX // p.n
+    if not isinstance(samples, Integral) or not 1 <= samples <= most:
+        raise SuperbridgeError(f"samples must be 1 to {most} for {p.n} edges, got {samples!r}")
+    cols = [primitive_vector(edge) for edge in edge_vectors(p).edges]
+    if max(abs(x) for col in cols for x in col) > _INT64_SAFE:
+        raise SuperbridgeError("edge coordinates too large for the sampling fast path")
+    mat = np.array(cols, dtype=np.int64).T  # 3 x n
     rng = np.random.Generator(np.random.PCG64(seed))
     dirs = rng.integers(
         -_DIRECTION_BOUND, _DIRECTION_BOUND + 1, size=(samples, 3), dtype=np.int64

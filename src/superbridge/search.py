@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .certificates import CertificateBundle, find_certificate
-from .enumeration import jin_upper_bound, sampled_lower_bound, superbridge_number
+from .enumeration import SCREEN_ENTRIES_MAX, jin_upper_bound, sampled_lower_bound, superbridge_number
 from .geometry import PolygonalKnot
 from .linalg import Rational, SuperbridgeError, rational, vec3
 
@@ -66,8 +66,8 @@ class SearchConfig:
             raise SuperbridgeError("need at least 3 edges")
         if not 1 <= self.target <= self.n // 2:
             raise SuperbridgeError("target must be in [1, floor(n/2)]")
-        if self.samples < 0 or self.screen_samples < 1:
-            raise SuperbridgeError("bad sample counts")
+        if self.samples < 0 or not 1 <= self.screen_samples * self.n <= SCREEN_ENTRIES_MAX:
+            raise SuperbridgeError(f"bad sample counts (screen x n must be <= {SCREEN_ENTRIES_MAX})")
         # Validated only: the stored value is kept as given, so manifests
         # record the radius exactly as the user wrote it.
         _check_radius(self.confinement_radius)

@@ -212,13 +212,15 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "x.cert"],
-        ["search", "--edges", "6", "--target", "2", "--samples", "1", "--out", "x"],
+        ["verify", "x.cert", "--jobs", "3"],
+        ["search", "--edges", "6", "--target", "2", "--samples", "1", "--out", "x", "--jobs", "3"],
+        ["normalize", "x.txt", "--pose", "--tolerance", "1e-6"],
     ],
 )
 def test_jobs_flag_is_a_usage_error(argv):
+    """Removed flags (--jobs, normalize --tolerance) are usage errors."""
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--jobs", "3"])
+        main(argv)
     assert exc.value.code == 2
 
 
@@ -237,6 +239,12 @@ _BAD_INPUTS = {
     "radius_word": (None, [*_SEARCH, "--radius", "abc", "--out"], ""),
     "radius_zero": (None, [*_SEARCH, "--radius", "0", "--out"], ""),
     "radius_small": (None, [*_SEARCH, "--radius", "1/100", "--out"], ""),
+    "screen_huge": (
+        None,
+        ["search", "--edges", "10", "--target", "3", "--samples", "1",
+         "--screen-samples", "1000000000", "--out"],
+        "",
+    ),
 }
 
 

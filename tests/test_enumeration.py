@@ -1,8 +1,9 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from superbridge import (
@@ -18,6 +19,24 @@ from superbridge import (
 )
 from superbridge.enumeration import DegenerateEdgeSet, descent_histogram
 from superbridge.geometry import EdgeVectors, NonGenericDirection
+from superbridge.linalg import SuperbridgeError, canonical_line, cross3, dot3, primitive_vector
+
+
+def arrangement_cell_count(e):
+    """2 + sum over circles of their arrangement points - the number of points.
+
+    Euler's formula for the great-circle arrangement: the points are the
+    +- lines through pairs of circle normals, and each circle is cut into as
+    many arcs as it carries points.
+    """
+    normals = list({canonical_line(primitive_vector(ed)) for ed in e.edges})
+    lines = {
+        canonical_line(cross3(normals[a], normals[b]))
+        for a in range(len(normals))
+        for b in range(a + 1, len(normals))
+    }
+    on_circles = sum(dot3(line, nm) == 0 for line in lines for nm in normals)
+    return 2 + 2 * on_circles - 2 * len(lines)
 
 
 class TestRealizablePatterns:
@@ -66,13 +85,16 @@ class TestRealizablePatterns:
         assert signs == sorted(signs)
 
     def test_cell_count_bound(self, corpus):
-        from superbridge.linalg import canonical_line, primitive_vector
-
+        counts = set()
         for entry in corpus.values():
             e = edge_vectors(entry.knot)
             circles = {canonical_line(primitive_vector(ed)) for ed in e.edges}
             c = len(circles)
-            assert len(realizable_patterns(e)) <= c * (c - 1) + 2
+            count = len(realizable_patterns(e))
+            # general position attains the bound, and the Euler count is exact
+            assert count == c * (c - 1) + 2 == arrangement_cell_count(e)
+            counts.add(count)
+        assert counts == {92, 112, 134, 158}
 
     def test_parallel_edges_share_circles(self):
         # planar rectangle: two distinct circles, four cells
@@ -102,9 +124,9 @@ class TestRealizablePatterns:
             realizable_patterns(e)
 
 
-def _random_knot(rng, n):
+def _random_knot(rng, n, bound=40):
     while True:
-        verts = [tuple(Fraction(rng.randint(-40, 40)) for _ in range(3)) for _ in range(n)]
+        verts = [tuple(Fraction(rng.randint(-bound, bound)) for _ in range(3)) for _ in range(n)]
         try:
             return PolygonalKnot.from_coordinates("rnd", verts)
         except DegeneratePolygon:
@@ -129,6 +151,76 @@ def test_random_direction_patterns_are_enumerated(seed, n):
             continue
         hits += 1
         assert pat.signs in enumerated
+
+
+# Recorded with a walk that signed all 16 perturbations of +-v0 at every edge;
+# any walk must find the same first witness of every pattern. Of the 200 small
+# polygons (n = 4..11, vertices in -2..2), 50 have parallel edges, 138 have
+# three or more circles through one point and 3 are planar.
+WALK_DIGEST = "e2679eb07378ed227538c954bb44cb2a7e302cd446d5d29959f380ec413efcc4"
+
+
+def test_walk_pinned(corpus):
+    """Signs, descents and witness of every pattern of the corpus and 200 small polygons."""
+    digest = hashlib.sha256()
+    small = [_random_knot(random.Random(s), 4 + s % 8, bound=2) for s in range(200)]
+    for p in [entry.knot for entry in corpus.values()] + small:
+        for rp in realizable_patterns(edge_vectors(p)):
+            digest.update(repr((rp.pattern.signs, rp.pattern.descents, rp.witness.v)).encode())
+    assert digest.hexdigest() == WALK_DIGEST
+
+
+small_vertices = st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=4, max_size=9)
+
+
+def _knot(verts, planar=False):
+    try:
+        verts = [(x, y, 0 if planar else z) for x, y, z in verts]
+        return PolygonalKnot.from_coordinates("h", verts)
+    except DegeneratePolygon:
+        assume(False)
+
+
+@given(verts=small_vertices, planar=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_cell_count_is_the_euler_count(verts, planar):
+    e = edge_vectors(_knot(verts, planar))
+    assert len(realizable_patterns(e)) == arrangement_cell_count(e)
+
+
+def _pattern_set(verts):
+    return {rp.pattern.signs for rp in realizable_patterns(edge_vectors(_knot(verts)))}
+
+
+@given(
+    verts=small_vertices,
+    perm=st.permutations(range(3)),
+    flips=st.tuples(*[st.sampled_from((1, -1))] * 3),
+    scale=st.integers(1, 5),
+    shift=st.tuples(*[st.integers(-3, 3)] * 3),
+    k=st.integers(0, 8),
+)
+@settings(max_examples=30, deadline=None)
+def test_symmetries_of_the_pattern_set(verts, perm, flips, scale, shift, k):
+    n = len(verts)
+    k %= n
+    base = _pattern_set(verts)
+    moved = [
+        tuple(scale * flips[d] * v[perm[d]] + shift[d] for d in range(3)) for v in verts
+    ]
+    # e'_i = e_{i+k} after relabelling; e'_i = -e_{n-2-i} after reversal
+    images = {
+        "moved": (moved, base),
+        "cyclic": (verts[k:] + verts[:k], {s[k:] + s[:k] for s in base}),
+        "reversed": (
+            verts[::-1],
+            {tuple(-s[(n - 2 - i) % n] for i in range(n)) for s in base},
+        ),
+    }
+    value = superbridge_number(_knot(verts)).value
+    for name, (image, expected) in images.items():
+        assert _pattern_set(image) == expected, name
+        assert superbridge_number(_knot(image)).value == value, name
 
 
 def test_corpus_completeness_ten_thousand_directions(corpus):
@@ -197,6 +289,27 @@ class TestSampledLowerBound:
     def test_enough_samples_attain_exact(self, corpus):
         p = corpus["9_36"].knot
         assert sampled_lower_bound(p, 20000, seed=5) == 4
+
+    @pytest.mark.parametrize(
+        "samples,seed", [(10, -1), (10, 1.5), (10, "1"), (0, 1), (2.5, 1), (10**9, 1)]
+    )
+    def test_bad_input_is_a_typed_error(self, square, samples, seed):
+        with pytest.raises(SuperbridgeError):
+            sampled_lower_bound(square, samples, seed)
+
+    def test_screen_size_limit(self, square):
+        from superbridge.enumeration import SCREEN_ENTRIES_MAX
+
+        with pytest.raises(SuperbridgeError):
+            sampled_lower_bound(square, SCREEN_ENTRIES_MAX // 4 + 1, seed=0)
+        assert sampled_lower_bound(square, SCREEN_ENTRIES_MAX // 64, seed=0) == 1
+
+    def test_huge_edges_are_a_typed_error(self):
+        huge = PolygonalKnot.from_coordinates(
+            "huge", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (10**400, 0, 1)]
+        )
+        with pytest.raises(SuperbridgeError):
+            sampled_lower_bound(huge, 10, seed=0)
 
 
 class TestJinUpperBound:

@@ -1,4 +1,4 @@
-"""The scripts in ``scripts/`` run to completion on the package under test.
+"""The scripts in ``scripts/`` and the benchmark's self-check run to completion.
 
 ``rebuild_goldens.py`` is left out: it rewrites the package's golden files.
 """
@@ -9,20 +9,24 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify_corpus.py"],
-        ["ensemble_stats.py", "--edges", "6", "--samples", "5"],
+        ["scripts/verify_corpus.py"],
+        ["scripts/ensemble_stats.py", "--edges", "6", "--samples", "5"],
+        ["perfbench/run.py", "--negative-control"],
     ],
 )
 def test_script_exits_0(argv, package_env):
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+        [sys.executable, str(ROOT / argv[0]), *argv[1:]],
         env=package_env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    if "--negative-control" in argv:
+        # each of the four workloads catches the wrong answer planted in it
+        assert proc.stdout.count("planted error caught") == 4, proc.stdout
