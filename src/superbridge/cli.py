@@ -18,13 +18,8 @@ from pathlib import Path
 
 from . import bounds, corpus
 from .certificates import InvalidCertificate, find_certificate
-from .enumeration import (
-    descent_histogram,
-    jin_upper_bound,
-    max_descent_pattern,
-    realizable_patterns,
-)
-from .geometry import edge_vectors, normalize_pose, quantize
+from .enumeration import jin_upper_bound, superbridge_census
+from .geometry import normalize_pose, quantize
 from .linalg import SuperbridgeError, format_rational
 from .search import SearchConfig, search
 
@@ -75,17 +70,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_exact(args) -> int:
     knot = corpus.load_realization(args.path)
-    patterns = realizable_patterns(edge_vectors(knot))
-    best = max_descent_pattern(patterns)
-    value = best.pattern.descents
-    hist = descent_histogram(patterns)
-    witness = [format_rational(c) for c in best.witness.v]
+    result, hist = superbridge_census(knot)
+    value = result.value
+    witness = [format_rational(c) for c in result.witness_direction.v]
     text = (
         f"knot: {knot.name}\n"
         f"n: {knot.n}\n"
         f"superbridge: {value}\n"
         f"witness: {' '.join(witness)}\n"
-        f"patterns: {len(patterns)}\n"
+        f"patterns: {result.pattern_count}\n"
         f"descent histogram: "
         + " ".join(f"{d}:{c}" for d, c in hist.items())
     )
@@ -97,7 +90,7 @@ def _cmd_exact(args) -> int:
             "verified": True,
             "value": value,
             "witness": witness,
-            "patterns": len(patterns),
+            "patterns": result.pattern_count,
             "descent_histogram": {str(k): v for k, v in hist.items()},
         },
         args.json,

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .certificates import CertificateBundle, VerifiedBound, verify_bundle
 from .enumeration import superbridge_number
-from .geometry import PolygonalKnot
+from .geometry import DegeneratePolygon, PolygonalKnot
 from .linalg import ParseError, SuperbridgeError, format_rational, rational, read_utf8
 
 
@@ -87,6 +87,7 @@ def load_certificate_document(path) -> CertificateDocument:
     if parity not in ("even", "odd"):
         raise ParseError(path, lines[pos - 1][0], f"parity must be even/odd, got {parity!r}")
     expect_field("vertices")
+    vertices_line = lines[pos - 1][0]
     rows = []
     while pos < len(lines):
         line_no, line = lines[pos]
@@ -94,7 +95,10 @@ def load_certificate_document(path) -> CertificateDocument:
             break
         rows.append(_vertex_row(path, line_no, line))
         pos += 1
-    knot = PolygonalKnot.from_coordinates(name, rows)
+    try:
+        knot = PolygonalKnot.from_coordinates(name, rows)
+    except DegeneratePolygon as exc:
+        raise ParseError(path, vertices_line, str(exc)) from None
     n = knot.n
     if pos >= len(lines):
         raise ParseError(path, lines[-1][0], "missing 'u:' or 'U:' section")

@@ -5,21 +5,9 @@ arrangement cut into the direction sphere by the planes orthogonal to the
 edges, and distinct cells carry distinct patterns (a pattern's locus is an
 open convex cone). Enumerating cells therefore enumerates every realizable
 pattern; the superbridge number of the polygon is the maximal descent
-count over them.
-
-Cells are enumerated by walking arrangement vertices. Every cell of an
-arrangement of at least two distinct great circles has a vertex on its
-boundary, and around a vertex v the incident cells are the sectors between
-consecutive circle tangent rays. Perturbing v along a tangent ray of one
-incident circle and then infinitesimally toward a tangent of a second
-(lexicographic two-level signs) lands in the sector flanking that ray, so
-taking both rays of both circles of every generating pair on both sides
-reaches every sector - including at vertices where three or more circles
-concur, since each concurrent pair regenerates the same vertex. A
-perturbation re-signs only the edges whose circles pass through v, none
-of them to zero, and the sectors at -v are those at v negated (see
-realizable_patterns). An integer witness direction is recovered per
-pattern as K^2 v0 + K d1 + d2 for growing K until its exact signs match.
+count over them. One exact integer matrix kernel finds every cell (see
+realizable_patterns). A witness direction is recovered only for a pattern
+a caller returns: superbridge_number, and so ``sb exact``, shrinks one.
 """
 
 from __future__ import annotations
@@ -27,23 +15,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
-from typing import Sequence
 
 import numpy as np
 
-from .geometry import (
-    Direction,
-    EdgeVectors,
-    PolygonalKnot,
-    SignPattern,
-    edge_vectors,
-)
-from .linalg import SuperbridgeError, canonical_line, cross3, dot3, neg3, primitive_vector
+from .geometry import Direction, EdgeVectors, PolygonalKnot, SignPattern, edge_vectors
+from .linalg import SuperbridgeError, canonical_line, cross3, dot3, primitive_vector
 
 _DIRECTION_BOUND = 1 << 20
 _INT64_SAFE = (1 << 62) // (3 * _DIRECTION_BOUND)
 #: Most samples x edges the screen accepts (its int64 table is then 128 MiB).
 SCREEN_ENTRIES_MAX = 1 << 24
+#: Bound on the temporary bytes of one block of the arrangement kernel, for
+#: n up to KERNEL_TEMP_BYTES // 256 - 4 edges. A block of k vertex pairs
+#: takes at most 256 k (n + 4) bytes: the most measured is 200 k (n + 4), on
+#: planar polygons with Python-int products, where every edge is re-signed.
+KERNEL_TEMP_BYTES = 1 << 22
+# Perturbation j of a vertex v0 has d1 = -t1 if j & 2 and d2 = -t2 if j & 1;
+# j & 4 swaps the circles (t1 and t2), and j & 8 negates v0, d1 and d2.
+_S1, _S2 = np.array([[[1], [1], [-1], [-1]], [[1], [-1], [1], [-1]]], dtype=np.int8)
 
 
 class DegenerateEdgeSet(SuperbridgeError):
@@ -73,13 +62,33 @@ def realizable_patterns(e: EdgeVectors) -> tuple[RealizablePattern, ...]:
     global sign flip (antipodal cells). Raises DegenerateEdgeSet when the
     edges define fewer than two distinct great circles.
 
-    Each vertex v0 = na x nb is signed once; per perturbation (d1, d2) only
-    an edge with v0 . e_m = 0 is re-signed, by d1 . e_m or, if that is 0,
-    by d2 . e_m: then e_m is parallel to na, so d2 . e_m = +-|v0|^2 times a
-    nonzero factor. The 8 triples at -v0 are (-v0, -d1, -d2) with negated
-    signs, recorded after those at v0 in the same order, so each pattern's
-    witness is the first triple in this order that realizes it.
+    Each cell has an arrangement vertex on its boundary and is a sector
+    between tangent rays of circles through it; perturbing the vertex along
+    one ray, then infinitesimally toward another circle's tangent, lands in
+    a flanking sector. So for the primitive edges and each pair a < b of
+    circle normals the kernel forms V = N_a x N_b, T1 = V x N_a and
+    T2 = V x N_b. Perturbation (V, s1 T1, s2 T2) gives edge e the sign of
+    V . e, where that is 0 of s1 T1 . e, and where that is also 0 (e is
+    then parallel to N_a) of s2 T2 . e, which is not 0. Swapping the
+    circles swaps T1 and T2; the cells at -V are the 8 rows negated. With M
+    the largest |entry| of an edge, |V| <= 2M^2 and |T| <= 4M^3 entrywise,
+    so |V . e| <= 6M^3 and |T . e| <= 12M^4: the products are exact int64
+    when 12M^4 < 2^62, and Python ints otherwise. Pairs run in blocks
+    within KERNEL_TEMP_BYTES. Each block's rows, packed into big-endian
+    uint64 words so that word order is tuple order, merge into those found
+    so far by a stable sort, and so each pattern keeps the first triple
+    (v0, d1, d2) in visit order: pair, 8 perturbations, their 8 negations.
     """
+    bits, witness = _cells(e)
+    return tuple(
+        RealizablePattern(pattern=SignPattern(signs=tuple(row)), witness=witness(i))
+        for i, row in enumerate(np.where(bits, 1, -1).tolist())
+    )
+
+
+def _cells(e: EdgeVectors):
+    """Sign bits (True for +) of the realizable patterns, rows sorted, and
+    the function giving row i its witness."""
     prim = [primitive_vector(edge) for edge in e.edges]
     circles: dict[tuple, tuple] = {}
     for p in prim:
@@ -87,64 +96,67 @@ def realizable_patterns(e: EdgeVectors) -> tuple[RealizablePattern, ...]:
     normals = list(circles.values())
     if len(normals) < 2:
         raise DegenerateEdgeSet("need at least two non-parallel edges")
+    n, edge_max = len(prim), max(abs(x) for p in prim for x in p)
+    dtype = np.int64 if 12 * edge_max**4 < 1 << 62 else object
+    edges, circ = np.array(prim, dtype=dtype), np.array(normals, dtype=dtype)
+    pa, pb = np.triu_indices(len(normals), 1)
+    step = max(1, KERNEL_TEMP_BYTES // (256 * (n + 4)))
+    words, first = np.zeros((0, (n + 63) // 64), dtype=np.uint64), np.zeros(0, dtype=np.int64)
+    for lo in range(0, len(pa), step):
+        block = _perturbation_bits(circ[pa[lo : lo + step]], circ[pb[lo : lo + step]], edges)
+        packed = np.packbits(block, axis=1)
+        packed = np.pad(packed, ((0, 0), (0, 8 * words.shape[1] - packed.shape[1])))
+        words = np.concatenate([words, packed.view(">u8").astype(np.uint64)])
+        first = np.concatenate([first, np.arange(16 * lo, 16 * lo + len(block))])
+        order = np.lexsort(words.T[::-1])
+        words, first = words[order], first[order]
+        keep = np.append(True, (words[1:] != words[:-1]).any(axis=1))
+        words, first = words[keep], first[keep]
+    bits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=n).view(bool)
 
-    found: dict[tuple[int, ...], tuple] = {}
-    for a in range(len(normals)):
-        for b in range(a + 1, len(normals)):
-            v0 = x, y, z = cross3(normals[a], normals[b])
-            dots = [x * ex + y * ey + z * ez for ex, ey, ez in prim]
-            incident = [m for m, d in enumerate(dots) if d == 0]
-            base = [1 if d > 0 else -1 for d in dots]
-            sides = []
-            for na, nb in ((normals[a], normals[b]), (normals[b], normals[a])):
-                t1, t2 = cross3(v0, na), cross3(v0, nb)
-                for d1 in (t1, neg3(t1)):
-                    for d2 in (t2, neg3(t2)):
-                        signs = base.copy()
-                        for m in incident:
-                            d = dot3(d1, prim[m]) or dot3(d2, prim[m])
-                            signs[m] = 1 if d > 0 else -1
-                        sides.append((tuple(signs), d1, d2))
-            for signs, d1, d2 in sides:
-                found.setdefault(signs, (v0, d1, d2))
-            for signs, d1, d2 in sides:
-                found.setdefault(tuple(-s for s in signs), (neg3(v0), neg3(d1), neg3(d2)))
+    def witness(i: int) -> Direction:
+        """Integer direction K^2 v0 + K d1 + d2 whose exact signs are row i's.
 
-    edge_max = max(abs(x) for p in prim for x in p)
-    return tuple(
-        RealizablePattern(
-            pattern=SignPattern(signs=signs),
-            witness=Direction(_shrink_witness(prim, signs, *found[signs], edge_max)),
-        )
-        for signs in sorted(found)
-    )
+        It is a positive multiple of v0 + eps d1 + eps^2 d2 at eps = 1/K, so
+        its signs are the perturbation's once K is large. Every v0 . e is an
+        integer, 0 or at least 1 in size, so any K > max(|d1 . e| + |d2 . e|)
+        works, and that is at most (|d1|_1 + |d2|_1) * edge_max: a trial of
+        K = 2^10, 2^11, ... past this bound can only fail by an internal error.
+        """
+        pair, j = divmod(int(first[i]), 16)
+        na, nb = normals[pa[pair]], normals[pb[pair]]
+        v0 = cross3(na, nb)
+        t1, t2 = (cross3(v0, nb), cross3(v0, na)) if j & 4 else (cross3(v0, na), cross3(v0, nb))
+        g = -1 if j & 8 else 1
+        s1, s2 = (-g if j & 2 else g), (-g if j & 1 else g)
+        v0, d1, d2 = ([s * x for x in u] for s, u in ((g, v0), (s1, t1), (s2, t2)))
+        signs = np.where(bits[i], 1, -1).tolist()
+        bound = (sum(map(abs, d1)) + sum(map(abs, d2))) * edge_max
+        k = 1 << 10
+        while True:
+            w = tuple(k * k * v0[d] + k * d1[d] + d2[d] for d in range(3))
+            if all(s * dot3(w, em) > 0 for em, s in zip(prim, signs)):
+                return Direction(tuple(Fraction(x) for x in primitive_vector(w)))
+            if k > bound:
+                raise SuperbridgeError("internal: witness shrink failed past its proven bound")
+            k *= 2
+
+    return bits, witness
 
 
-def _shrink_witness(prim, signs, v0, d1, d2, edge_max):
-    """Integer direction whose exact signs equal the symbolic pattern.
-
-    Tries w = K^2 v0 + K d1 + d2 for K = 2^10, 2^11, ... in plain ints. That
-    is a positive multiple of v0 + eps d1 + eps^2 d2 at eps = 1/K, so the
-    signs are those of the lexicographic perturbation once K is large.
-    Every v0 . e_m is an integer, so it is 0 or at least 1 in size; hence
-    any K > max_m(|d1 . e_m| + |d2 . e_m|) is large enough. That maximum is
-    at most (|d1|_1 + |d2|_1) * edge_max, with edge_max the largest |entry|
-    of any e_m, so a trial past this bound can only fail through an
-    internal error.
-    """
-    bound = (sum(map(abs, d1)) + sum(map(abs, d2))) * edge_max
-    k = 1 << 10
-    while True:
-        w = tuple(k * k * v0[d] + k * d1[d] + d2[d] for d in range(3))
-        for em, want in zip(prim, signs):
-            val = dot3(w, em)
-            if val == 0 or (val > 0) != (want > 0):
-                break
-        else:
-            return tuple(Fraction(x) for x in primitive_vector(w))
-        if k > bound:
-            raise SuperbridgeError("internal: witness shrink failed past its proven bound")
-        k *= 2
+def _perturbation_bits(na: np.ndarray, nb: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Sign bits of the 16 perturbations of each vertex na x nb, in visit order."""
+    v0 = np.cross(na, nb)
+    dots = v0 @ edges.T
+    bits = np.empty((len(v0), 16, len(edges)), dtype=bool)
+    bits[:, :8] = (dots > 0)[:, None]
+    pi, ei = np.nonzero(dots == 0)
+    t1 = np.sign((np.cross(v0, na)[pi] * edges[ei]).sum(axis=1)).astype(np.int8)
+    t2 = np.sign((np.cross(v0, nb)[pi] * edges[ei]).sum(axis=1)).astype(np.int8)
+    lead = [np.where(t1 != 0, _S1 * t1, _S2 * t2), np.where(t2 != 0, _S1 * t2, _S2 * t1)]
+    bits[pi, :8, ei] = (np.concatenate(lead) > 0).T
+    bits[:, 8:] = ~bits[:, :8]
+    return bits.reshape(-1, len(edges))
 
 
 def jin_upper_bound(p: PolygonalKnot) -> int:
@@ -152,30 +164,21 @@ def jin_upper_bound(p: PolygonalKnot) -> int:
     return p.n // 2
 
 
-def max_descent_pattern(patterns: Sequence[RealizablePattern]) -> RealizablePattern:
-    """The first pattern, in the given order, with the most descents."""
-    return max(patterns, key=lambda rp: rp.pattern.descents)
-
-
 def superbridge_number(p: PolygonalKnot) -> SuperbridgeResult:
-    """Exact superbridge number by complete pattern enumeration."""
-    patterns = realizable_patterns(edge_vectors(p))
-    best = max_descent_pattern(patterns)
-    value = best.pattern.descents
-    if value > jin_upper_bound(p):
+    """Exact superbridge number, with the witness of the first pattern (in
+    sorted order) of most descents, the only witness recovered."""
+    return superbridge_census(p)[0]
+
+
+def superbridge_census(p: PolygonalKnot) -> tuple[SuperbridgeResult, dict[int, int]]:
+    """superbridge_number(p), and how many patterns have each descent count."""
+    bits, witness = _cells(edge_vectors(p))
+    descents = (bits & ~np.roll(bits, -1, axis=1)).sum(axis=1)
+    best = int(descents.argmax())
+    if descents[best] > jin_upper_bound(p):
         raise SuperbridgeError("internal: descent count exceeds floor(n/2)")
-    return SuperbridgeResult(
-        value=value,
-        witness_direction=best.witness,
-        pattern_count=len(patterns),
-    )
-
-
-def descent_histogram(patterns: tuple[RealizablePattern, ...]) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for rp in patterns:
-        hist[rp.pattern.descents] = hist.get(rp.pattern.descents, 0) + 1
-    return dict(sorted(hist.items()))
+    result = SuperbridgeResult(int(descents[best]), witness(best), pattern_count=len(bits))
+    return result, {d: c for d, c in enumerate(np.bincount(descents).tolist()) if c}
 
 
 def sampled_lower_bound(p: PolygonalKnot, samples: int, seed: int) -> int:
@@ -196,20 +199,14 @@ def sampled_lower_bound(p: PolygonalKnot, samples: int, seed: int) -> int:
         raise SuperbridgeError("edge coordinates too large for the sampling fast path")
     mat = np.array(cols, dtype=np.int64).T  # 3 x n
     rng = np.random.Generator(np.random.PCG64(seed))
-    dirs = rng.integers(
-        -_DIRECTION_BOUND, _DIRECTION_BOUND + 1, size=(samples, 3), dtype=np.int64
-    )
+    dirs = rng.integers(-_DIRECTION_BOUND, _DIRECTION_BOUND + 1, size=(samples, 3), dtype=np.int64)
     dots = dirs @ mat
     bad = (dots == 0).any(axis=1)
     for _ in range(64):
         if not bad.any():
             break
         k = int(bad.sum())
-        redraw = rng.integers(
-            -_DIRECTION_BOUND, _DIRECTION_BOUND + 1, size=(k, 3), dtype=np.int64
-        )
-        dirs[bad] = redraw
-        dots[bad] = redraw @ mat
+        dots[bad] = rng.integers(-_DIRECTION_BOUND, _DIRECTION_BOUND + 1, size=(k, 3)) @ mat
         bad = (dots == 0).any(axis=1)
     else:
         raise SuperbridgeError("could not draw generic directions")

@@ -3,9 +3,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from superbridge import (
     CertificateBundle,
+    DegeneratePolygon,
     InvalidCertificate,
     PolygonalKnot,
     build_even_system,
@@ -15,6 +18,7 @@ from superbridge import (
     verify_bundle,
     verify_even_certificate,
     verify_odd_bundle,
+    verify_separating,
 )
 from superbridge.certificates import (
     EvenEdgeCount,
@@ -307,6 +311,36 @@ class TestFindCertificate:
             assert vb.assignment == tuple((j, j - 1, 0) for j in range(1, p.n + 1)), name
             checked += 1
         assert checked == 16
+
+
+@given(
+    verts=st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=6, max_size=11),
+    planar=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_find_save_load_verify_round_trip(verts, planar, tmp_path_factory):
+    """find -> save -> load -> verify on small polygons of both parities.
+
+    Half the draws are planar, which find certifies more often. When it
+    returns evidence instead, every direction separates its system.
+    """
+    try:
+        p = PolygonalKnot.from_coordinates("rt", [(x, y, 0 if planar else z) for x, y, z in verts])
+    except DegeneratePolygon:
+        assume(False)
+    found = find_certificate(p)
+    if found.bundle is None:
+        e = edge_vectors(p)
+        systems = build_odd_systems(e).systems if p.n % 2 else (build_even_system(e).matrix,)
+        assert found.evidence
+        for ev in found.evidence:
+            assert verify_separating(systems[max(ev.system - 1, 0)], ev.direction)
+        return
+    path = tmp_path_factory.mktemp("rt") / "rt.cert"
+    save_certificate_document(CertificateDocument(knot=p, bundle=found.bundle), path)
+    doc = load_certificate_document(path)
+    assert doc.knot.vertices == p.vertices
+    assert verify_bundle(doc.knot, doc.bundle).bound == p.n // 2 - 1
 
 
 def _find_digest(p: PolygonalKnot) -> str:

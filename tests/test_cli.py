@@ -233,6 +233,7 @@ _SEARCH = ["search", "--edges", "6", "--target", "2", "--samples", "1"]
 _BAD_INPUTS = {
     "zero.cert": (_CERT.format("1/0").encode(), ["verify"], ":5: "),
     "word.cert": (_CERT.format("abc").encode(), ["verify"], ":5: "),
+    "repeated.cert": (_CERT.format("0").encode(), ["verify"], ":3: "),
     "latin1.txt": (b"0 0 0\n1 0 0\n0 1 0 # caf\xe9\n", ["exact"], ":3: "),
     "int.csv": ((_HEADER + "3_1,2,six,0,1,,,x\n").encode(), ["table", "--metadata"], ":2: "),
     "latin1.csv": (_HEADER.encode() + b"3_1,2,6,0,1,,,caf\xe9\n", ["table", "--metadata"], ":2: "),

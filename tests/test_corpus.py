@@ -1,3 +1,6 @@
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,11 +9,13 @@ from hypothesis import strategies as st
 
 from superbridge import (
     DegeneratePolygon,
+    InvalidCertificate,
     PolygonalKnot,
     load_certificate,
     load_certificate_document,
     load_realization,
     save_realization,
+    verify_bundle,
     verify_entry,
 )
 from superbridge.corpus import ParseError, data_root, save_certificate_document
@@ -150,3 +155,57 @@ class TestShippedCorpus:
             assert report.exact_value == entry.claimed_sb
             expected = "enumeration" if entry.certificate is None else "certificate-cross-check"
             assert report.method == expected
+
+
+_TOKENS = ("0", "-1", "1/0", "1e400", "nan", "x", "", str(10**30), "u:", "U:", "odd", "even")
+
+
+def _mutant(rng, lines):
+    """One line deleted, duplicated, truncated or garbled, or one token changed."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    op = rng.randrange(5)
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(i, lines[i])
+    elif op == 2:
+        lines[i] = lines[i][: rng.randrange(len(lines[i]) + 1)]
+    elif op == 3 and lines[i]:
+        k = rng.randrange(len(lines[i]))
+        lines[i] = lines[i][:k] + rng.choice("x-/.09:# ") + lines[i][k + 1 :]
+    else:
+        tokens = lines[i].split(" ")
+        k = rng.randrange(len(tokens))
+        tokens[k] = rng.choice(_TOKENS + ("-" + tokens[k], tokens[k] + "7"))
+        lines[i] = " ".join(tokens)
+    return lines
+
+
+def test_certificate_mutants_end_in_a_typed_outcome(tmp_path, package_env):
+    """Each mutant of a shipped certificate is accepted or raises ParseError or
+    InvalidCertificate; ``sb verify`` exits 0 or 1 on them, never with a traceback."""
+    rng = random.Random(2022)
+    docs = [
+        p.read_text(encoding="utf-8").splitlines()
+        for p in sorted(data_root().joinpath("certificates").iterdir(), key=lambda p: p.name)
+    ]
+    by_outcome: dict[str, list] = {"accepted": [], "ParseError": [], "InvalidCertificate": []}
+    for k in range(600):
+        path = tmp_path / f"m{k}.cert"
+        path.write_text("\n".join(_mutant(rng, rng.choice(docs))) + "\n", encoding="utf-8")
+        try:
+            doc = load_certificate_document(path)
+            verify_bundle(doc.knot, doc.bundle)
+            by_outcome["accepted"].append(path)
+        except (ParseError, InvalidCertificate) as exc:
+            by_outcome[type(exc).__name__].append(path)
+    for outcome, paths in by_outcome.items():
+        assert paths, outcome
+        for path in paths[:2]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "superbridge.cli", "verify", str(path)],
+                env=package_env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == (0 if outcome == "accepted" else 1), proc.stderr
+            assert "Traceback" not in proc.stderr

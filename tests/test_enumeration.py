@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,9 +18,16 @@ from superbridge import (
     sign_pattern,
     superbridge_number,
 )
-from superbridge.enumeration import DegenerateEdgeSet, descent_histogram
-from superbridge.geometry import EdgeVectors, NonGenericDirection
-from superbridge.linalg import SuperbridgeError, canonical_line, cross3, dot3, primitive_vector
+from superbridge.enumeration import KERNEL_TEMP_BYTES, DegenerateEdgeSet, superbridge_census
+from superbridge.geometry import EdgeVectors, NonGenericDirection, cyclic_descents
+from superbridge.linalg import (
+    SuperbridgeError,
+    canonical_line,
+    cross3,
+    dot3,
+    neg3,
+    primitive_vector,
+)
 
 
 def arrangement_cell_count(e):
@@ -223,6 +231,122 @@ def test_symmetries_of_the_pattern_set(verts, perm, flips, scale, shift, k):
         assert superbridge_number(_knot(image)).value == value, name
 
 
+def _reference_walk(e):
+    """{signs: first (v0, d1, d2)} from the vertex-pair loop the kernel replaced.
+
+    Each vertex v0 = na x nb is signed once; each of its 8 perturbations
+    re-signs the edges through v0 by d1 . e_m, or d2 . e_m where that is 0,
+    and the 8 triples at -v0 follow with negated signs.
+    """
+    prim = [primitive_vector(edge) for edge in e.edges]
+    circles = {}
+    for p in prim:
+        circles.setdefault(canonical_line(p), p)
+    normals = list(circles.values())
+    found = {}
+    for a in range(len(normals)):
+        for b in range(a + 1, len(normals)):
+            v0 = cross3(normals[a], normals[b])
+            dots = [dot3(v0, p) for p in prim]
+            base = [1 if d > 0 else -1 for d in dots]
+            sides = []
+            for na, nb in ((normals[a], normals[b]), (normals[b], normals[a])):
+                t1, t2 = cross3(v0, na), cross3(v0, nb)
+                for d1 in (t1, neg3(t1)):
+                    for d2 in (t2, neg3(t2)):
+                        signs = base.copy()
+                        for m, d in enumerate(dots):
+                            if d == 0:
+                                d = dot3(d1, prim[m]) or dot3(d2, prim[m])
+                                signs[m] = 1 if d > 0 else -1
+                        sides.append((tuple(signs), d1, d2))
+            for signs, d1, d2 in sides:
+                found.setdefault(signs, (v0, d1, d2))
+            for signs, d1, d2 in sides:
+                found.setdefault(tuple(-s for s in signs), (neg3(v0), neg3(d1), neg3(d2)))
+    return found
+
+
+def _reference_witness(prim, signs, v0, d1, d2):
+    """Primitive K^2 v0 + K d1 + d2 for the first K = 2^10, 2^11, ... that realizes signs."""
+    k = 1 << 10
+    while True:
+        w = tuple(k * k * v0[d] + k * d1[d] + d2[d] for d in range(3))
+        if all(s * dot3(w, em) > 0 for em, s in zip(prim, signs)):
+            return tuple(Fraction(x) for x in primitive_vector(w))
+        k *= 2
+
+
+def _assert_kernel_matches_reference(p):
+    e = edge_vectors(p)
+    prim = [primitive_vector(edge) for edge in e.edges]
+    found = _reference_walk(e)
+    expected = [
+        (s, cyclic_descents(s), _reference_witness(prim, s, *found[s])) for s in sorted(found)
+    ]
+    got = [(rp.pattern.signs, rp.pattern.descents, rp.witness.v) for rp in realizable_patterns(e)]
+    assert got == expected
+    assert len(got) == arrangement_cell_count(e)
+    best = max(expected, key=lambda row: row[1])
+    res = superbridge_number(p)
+    assert (res.value, res.witness_direction.v, res.pattern_count) == (best[1], best[2], len(got))
+
+
+@given(verts=small_vertices, planar=st.booleans(), pieces=st.integers(1, 16))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_reference_small(verts, planar, pieces):
+    """Cutting each edge into equal pieces keeps the circles; n > 64 packs rows into words."""
+    p = _knot(verts, planar)
+    cut = [
+        tuple(a + (b - a) * Fraction(t, pieces) for a, b in zip(u, w))
+        for u, w in zip(p.vertices, p.vertices[1:] + p.vertices[:1])
+        for t in range(pieces)
+    ]
+    _assert_kernel_matches_reference(PolygonalKnot.from_coordinates("cut", cut))
+
+
+@given(
+    verts=st.lists(st.tuples(*[st.integers(-10**12, 10**12)] * 3), min_size=4, max_size=8),
+    planar=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_kernel_matches_reference_python_ints(verts, planar):
+    """Edge entries near 10^12 put the kernel on its Python-int (object) path."""
+    _assert_kernel_matches_reference(_knot(verts, planar))
+
+
+def _int64_limit():
+    """Largest M with 12 M^4 < 2^62: the biggest edge entry the int64 path takes."""
+    return isqrt(isqrt(((1 << 62) - 1) // 12))
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["int64", "object"])
+def test_kernel_matches_reference_at_the_int64_limit(extra):
+    m = _int64_limit() + extra
+    assert (12 * m**4 < 1 << 62) == (extra == 0)
+    # every edge has an entry of size 1, so it is primitive, and m is the largest entry
+    p = PolygonalKnot.from_coordinates(
+        "limit", [(0, 0, 0), (m, 1, 0), (0, m, 1), (-1, 0, m), (-m, -1, 1)]
+    )
+    assert max(abs(x) for ed in edge_vectors(p).edges for x in primitive_vector(ed)) == m
+    _assert_kernel_matches_reference(p)
+
+
+def test_large_n_stays_within_the_block_bound():
+    """A 96-gon has 4560 vertex pairs; blocks keep every temporary small."""
+    import tracemalloc
+
+    p = _random_knot(random.Random(96), 96)
+    tracemalloc.start()
+    try:
+        res = superbridge_number(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < KERNEL_TEMP_BYTES
+    assert res.pattern_count == arrangement_cell_count(edge_vectors(p))
+
+
 def test_corpus_completeness_ten_thousand_directions(corpus):
     """Every sampled generic direction's pattern is an enumerated pattern."""
     import numpy as np
@@ -320,5 +444,6 @@ class TestJinUpperBound:
 
 
 def test_descent_histogram(square):
-    hist = descent_histogram(realizable_patterns(edge_vectors(square)))
+    result, hist = superbridge_census(square)
+    assert result == superbridge_number(square)
     assert hist == {1: 4}
