@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import EdgeVectors, PolygonalKnot, edge_vectors
+from .geometry import EdgeVectors, PolygonalKnot, edge_vectors, integer_edges
 from .gordan import (
     GordanMatrix,
     NullCombination,
@@ -173,8 +173,7 @@ def _integer_edge_vectors(p: PolygonalKnot) -> EdgeVectors:
     A common factor preserves every null-vector equation of the signed
     systems; per-edge factors would not.
     """
-    flat = primitive_vector(c for edge in edge_vectors(p).edges for c in edge)
-    return EdgeVectors(edges=tuple(flat[i : i + 3] for i in range(0, len(flat), 3)))
+    return EdgeVectors(edges=integer_edges(p))
 
 
 def verify_even_certificate(p: PolygonalKnot, u: Sequence) -> VerifiedBound:

@@ -12,13 +12,15 @@ a caller returns: superbridge_number, and so ``sb exact``, shrinks one.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from numbers import Integral
 
 import numpy as np
 
-from .geometry import Direction, EdgeVectors, PolygonalKnot, SignPattern, edge_vectors
+from .geometry import Direction, EdgeVectors, PolygonalKnot, SignPattern, integer_edges
 from .linalg import SuperbridgeError, canonical_line, cross3, dot3, primitive_vector
 
 _DIRECTION_BOUND = 1 << 20
@@ -79,17 +81,21 @@ def realizable_patterns(e: EdgeVectors) -> tuple[RealizablePattern, ...]:
     so far by a stable sort, and so each pattern keeps the first triple
     (v0, d1, d2) in visit order: pair, 8 perturbations, their 8 negations.
     """
-    bits, witness = _cells(e)
+    bits, witness = _cells([primitive_vector(edge) for edge in e.edges])
     return tuple(
         RealizablePattern(pattern=SignPattern(signs=tuple(row)), witness=witness(i))
         for i, row in enumerate(np.where(bits, 1, -1).tolist())
     )
 
 
-def _cells(e: EdgeVectors):
+def _primitive_rows(p: PolygonalKnot) -> list[tuple[int, ...]]:
+    """``primitive_vector`` of every edge of p, from one ``integer_edges``."""
+    return [tuple(x // g for x in row) for row in integer_edges(p) for g in (gcd(*row),)]
+
+
+def _cells(prim: list[tuple[int, ...]]):
     """Sign bits (True for +) of the realizable patterns, rows sorted, and
-    the function giving row i its witness."""
-    prim = [primitive_vector(edge) for edge in e.edges]
+    the function giving row i its witness, for the primitive edges prim."""
     circles: dict[tuple, tuple] = {}
     for p in prim:
         circles.setdefault(canonical_line(p), p)
@@ -172,7 +178,7 @@ def superbridge_number(p: PolygonalKnot) -> SuperbridgeResult:
 
 def superbridge_census(p: PolygonalKnot) -> tuple[SuperbridgeResult, dict[int, int]]:
     """superbridge_number(p), and how many patterns have each descent count."""
-    bits, witness = _cells(edge_vectors(p))
+    bits, witness = _cells(_primitive_rows(p))
     descents = (bits & ~np.roll(bits, -1, axis=1)).sum(axis=1)
     best = int(descents.argmax())
     if descents[best] > jin_upper_bound(p):
@@ -184,29 +190,37 @@ def superbridge_census(p: PolygonalKnot) -> tuple[SuperbridgeResult, dict[int, i
 def sampled_lower_bound(p: PolygonalKnot, samples: int, seed: int) -> int:
     """Max descent count over pseudo-random generic integer directions.
 
-    Deterministic for a fixed seed; non-generic draws are rejected and
-    redrawn. Always a lower bound for (and in practice usually equal to)
-    the enumerated superbridge number. The seed must be an integer >= 0
-    and samples x edges at most SCREEN_ENTRIES_MAX.
+    Deterministic for a fixed seed: each direction is 24 bytes of
+    ``random.Random(seed).randbytes``, three little-endian 64-bit words
+    each reduced modulo 2^21 + 1 into [-2^20, 2^20]. Non-generic draws are
+    rejected and redrawn from the same stream. Always a lower bound for (and
+    in practice usually equal to) the enumerated superbridge number. The
+    seed must be an integer >= 0 and samples x edges at most
+    SCREEN_ENTRIES_MAX.
     """
     if not isinstance(seed, Integral) or seed < 0:
         raise SuperbridgeError(f"seed must be an integer >= 0, got {seed!r}")
     most = SCREEN_ENTRIES_MAX // p.n
     if not isinstance(samples, Integral) or not 1 <= samples <= most:
         raise SuperbridgeError(f"samples must be 1 to {most} for {p.n} edges, got {samples!r}")
-    cols = [primitive_vector(edge) for edge in edge_vectors(p).edges]
+    cols = _primitive_rows(p)
     if max(abs(x) for col in cols for x in col) > _INT64_SAFE:
         raise SuperbridgeError("edge coordinates too large for the sampling fast path")
     mat = np.array(cols, dtype=np.int64).T  # 3 x n
-    rng = np.random.Generator(np.random.PCG64(seed))
-    dirs = rng.integers(-_DIRECTION_BOUND, _DIRECTION_BOUND + 1, size=(samples, 3), dtype=np.int64)
-    dots = dirs @ mat
+    rng = random.Random(int(seed))
+
+    def directions(k: int) -> np.ndarray:
+        words = np.frombuffer(rng.randbytes(24 * k), dtype="<u8").reshape(k, 3)
+        dirs = (words % (2 * _DIRECTION_BOUND + 1)).view(np.int64)
+        dirs -= _DIRECTION_BOUND
+        return dirs
+
+    dots = directions(samples) @ mat
     bad = (dots == 0).any(axis=1)
     for _ in range(64):
         if not bad.any():
             break
-        k = int(bad.sum())
-        dots[bad] = rng.integers(-_DIRECTION_BOUND, _DIRECTION_BOUND + 1, size=(k, 3)) @ mat
+        dots[bad] = directions(int(bad.sum())) @ mat
         bad = (dots == 0).any(axis=1)
     else:
         raise SuperbridgeError("could not draw generic directions")

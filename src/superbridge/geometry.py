@@ -18,7 +18,6 @@ from .linalg import (
     Rational,
     SuperbridgeError,
     Vec3,
-    canonical_line,
     cross3,
     dot3,
     is_zero3,
@@ -70,9 +69,8 @@ class PolygonalKnot:
                 raise DegeneratePolygon(
                     f"{self.name}: vertices {i} and {(i + 1) % n} coincide"
                 )
-        edges = [sub3(self.vertices[(i + 1) % n], self.vertices[i]) for i in range(n)]
-        first = canonical_line(edges[0])
-        if all(canonical_line(e) == first for e in edges[1:]):
+        first, *rest = integer_edges(self)
+        if all(is_zero3(cross3(first, e)) for e in rest):
             raise DegeneratePolygon(f"{self.name}: all edges parallel (curve lies on a line)")
 
     @classmethod
@@ -168,6 +166,26 @@ def edge_vectors(p: PolygonalKnot) -> EdgeVectors:
     n = p.n
     return EdgeVectors(
         edges=tuple(sub3(p.vertices[(i + 1) % n], p.vertices[i]) for i in range(n))
+    )
+
+
+def integer_edges(p: PolygonalKnot) -> tuple[tuple[int, int, int], ...]:
+    """Edges of p times one common positive rational, as coprime integers.
+
+    Equal to ``primitive_vector`` over the flattened ``edge_vectors(p)``:
+    the vertices are scaled to integers by the lcm of their denominators,
+    differenced, and divided by the gcd of all the differences. A common
+    factor keeps every linear relation among the edges, which per-edge
+    factors would not; a row divided by its own gcd is that edge's
+    ``primitive_vector``. The edges of a PolygonalKnot are nonzero.
+    """
+    coords = [c for v in p.vertices for c in v]
+    scale = math.lcm(*(c.denominator for c in coords))
+    ints = [c.numerator * (scale // c.denominator) for c in coords]
+    diffs = [b - a for a, b in zip(ints, ints[3:] + ints[:3])]
+    g = math.gcd(*diffs)
+    return tuple(
+        (diffs[i] // g, diffs[i + 1] // g, diffs[i + 2] // g) for i in range(0, len(diffs), 3)
     )
 
 

@@ -7,24 +7,30 @@ sampled maximum never exceeds the exact value, so a polygon is rejected
 only when its exact value provably exceeds the target.
 
 The sampler is a baseline: edge directions are drawn isotropically,
-alternately renormalized and closed in floating point, then snapped to a
-rational grid with the residual closure defect folded in exactly. It is
-deliberately simple. Knot-type identification of candidates is out of
-scope; candidates are written to files for external classification.
+alternately renormalized and closed in floating point (numpy sweeps over
+an n x 3 array in a fixed operation order, so each polygon is a pure
+function of the ``random.Random`` state), then snapped to a rational grid.
+From the snap on everything is integer arithmetic: the residual closure
+defect is folded in exactly, and confinement is an exact integer test.
+Fractions are built only for the returned polygon. The screen draws its
+directions from ``random.Random`` bytes too; numpy.random is never
+imported. Knot-type identification of candidates is out of scope;
+candidates are written to files for external classification.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .certificates import CertificateBundle, find_certificate
 from .enumeration import SCREEN_ENTRIES_MAX, jin_upper_bound, sampled_lower_bound, superbridge_number
 from .geometry import PolygonalKnot
-from .linalg import Rational, SuperbridgeError, rational, vec3
+from .linalg import Rational, SuperbridgeError, rational
 
 
 class RetryExhausted(SuperbridgeError):
@@ -87,32 +93,39 @@ class SearchStats:
     confirmed: int = 0
 
 
-def _isotropic_edges(n: int, rng: random.Random) -> list[list[float]]:
-    out = []
-    for _ in range(n):
-        while True:
-            v = [rng.gauss(0.0, 1.0) for _ in range(3)]
-            norm = math.sqrt(sum(x * x for x in v))
-            if norm > 1e-9:
-                out.append([x / norm for x in v])
-                break
-    return out
+def _isotropic_edges(n: int, rng: random.Random) -> np.ndarray:
+    """n unit edges (an n x 3 array), each a normalized triple of normal draws.
+
+    A triple of norm at most 1e-9 is dropped and the next three draws take
+    its place, so the draws are those of a loop that redraws each such edge.
+    """
+    draws = [rng.gauss(0.0, 1.0) for _ in range(3 * n)]
+    while True:
+        a = np.array(draws).reshape(-1, 3)
+        sq = a * a
+        norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+        keep = norm > 1e-9
+        missing = n - int(keep.sum())
+        if not missing:
+            return a[keep] / norm[keep, None]
+        draws += [rng.gauss(0.0, 1.0) for _ in range(3 * missing)]
 
 
-def _close_and_equalize(edges: list[list[float]]) -> None:
-    """Alternate defect fold-in and renormalization until nearly equilateral."""
+def _close_and_equalize(edges: np.ndarray) -> None:
+    """Alternate defect fold-in and renormalization until nearly equilateral.
+
+    Works in place, in a fixed float operation order: the defect is the
+    left-fold sum of the edges (a cumulative sum, not numpy's pairwise
+    reduction) and each squared norm is x*x + y*y + z*z, so every polygon
+    is reproducible bit for bit.
+    """
     n = len(edges)
     for _ in range(200):
-        defect = [sum(e[d] for e in edges) / n for d in range(3)]
-        spread = 0.0
-        for e in edges:
-            for d in range(3):
-                e[d] -= defect[d]
-            norm = math.sqrt(sum(x * x for x in e))
-            spread = max(spread, abs(norm - 1.0))
-            for d in range(3):
-                e[d] /= norm
-        if spread < 1e-12:
+        edges -= edges.cumsum(axis=0)[-1] / n
+        sq = edges * edges
+        norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+        edges /= norm[:, None]
+        if abs(norm - 1.0).max() < 1e-12:
             break
 
 
@@ -124,39 +137,37 @@ def random_equilateral_polygon(
 ) -> PolygonalKnot:
     """Closed rational polygon, near-unit edges, vertices in confinement.
 
-    Closure is exact: after snapping the float edges to the 1/2^24 grid
-    the remaining defect is divided equally over all edges in rational
-    arithmetic. Every vertex lies within ``confinement_radius`` of the
-    vertex centroid (exact squared-distance comparison); polygons outside
-    confinement are rejected and redrawn, deterministically in ``rng``.
-    A radius below 1/2 raises SuperbridgeError before any draw.
+    The float edges are snapped to the 1/2^24 grid, and from there on all
+    arithmetic is on integers over the common denominator n 2^24: the
+    remaining closure defect is divided equally over all edges, so closure
+    is exact, and every vertex must lie within ``confinement_radius`` of
+    the vertex centroid (exact squared-distance comparison). Polygons
+    outside confinement are rejected and redrawn, deterministically in
+    ``rng``. A radius below 1/2 raises SuperbridgeError before any draw.
     """
     radius = _check_radius(confinement_radius)
-    radius_sq = radius * radius
+    den = n * _GRID
+    # v - centroid = (n V - sum of V) / (n den) for the integer numerators V
+    # of the vertices over den, so |v - centroid| <= radius in integers is:
+    far_max, far_scale = (radius.numerator * n * den) ** 2, radius.denominator**2
     for _ in range(_MAX_TRIES):
         edges = _isotropic_edges(n, rng)
         _close_and_equalize(edges)
-        exact = [
-            vec3(*(Fraction(round(x * _GRID), _GRID) for x in e)) for e in edges
-        ]
-        defect = [sum(e[d] for e in exact) for d in range(3)]
-        share = [d / n for d in defect]
-        exact = [
-            (e[0] - share[0], e[1] - share[1], e[2] - share[2]) for e in exact
-        ]
-        verts = [(Fraction(0), Fraction(0), Fraction(0))]
-        for e in exact[:-1]:
-            v = verts[-1]
-            verts.append((v[0] + e[0], v[1] + e[1], v[2] + e[2]))
-        centroid = tuple(sum(v[d] for v in verts) / n for d in range(3))
-        confined = all(
-            sum((v[d] - centroid[d]) ** 2 for d in range(3)) <= radius_sq
-            for v in verts
-        )
-        if not confined:
+        snapped = np.rint(edges * _GRID).astype(np.int64).tolist()
+        tx, ty, tz = (sum(col) for col in zip(*snapped))
+        verts = [(0, 0, 0)]
+        for sx, sy, sz in snapped[:-1]:
+            x, y, z = verts[-1]
+            verts.append((x + n * sx - tx, y + n * sy - ty, z + n * sz - tz))
+        cx, cy, cz = (sum(col) for col in zip(*verts))
+        far = max((n * x - cx) ** 2 + (n * y - cy) ** 2 + (n * z - cz) ** 2 for x, y, z in verts)
+        if far * far_scale > far_max:
             continue
         try:
-            return PolygonalKnot(name=name, vertices=tuple(verts))
+            return PolygonalKnot(
+                name=name,
+                vertices=tuple(tuple(Fraction(c, den) for c in v) for v in verts),
+            )
         except SuperbridgeError:
             continue
     raise RetryExhausted(

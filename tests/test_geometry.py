@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,8 @@ from superbridge import (
     quantize,
     sign_pattern,
 )
-from superbridge.geometry import EdgeVectors, KnotTypePreservationWarning, SignPattern
+from superbridge.geometry import EdgeVectors, KnotTypePreservationWarning, SignPattern, integer_edges
+from superbridge.linalg import primitive_vector
 
 
 class TestPolygonalKnot:
@@ -34,6 +36,22 @@ class TestPolygonalKnot:
     def test_rejects_collinear_polygon(self):
         with pytest.raises(DegeneratePolygon):
             PolygonalKnot.from_coordinates("bad", [(0, 0, 0), (1, 0, 0), (3, 0, 0)])
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [(0, 0, 0), (1, 0, 0), (3, 0, 0)],
+            [("1/2", "-1/3", 0), ("3/2", "1/3", 1), ("-1/2", "-1", -1), ("5/2", "1", 2)],
+        ],
+    )
+    def test_all_parallel_message(self, coords):
+        with pytest.raises(DegeneratePolygon, match=r"bad: all edges parallel \(curve lies on a line\)"):
+            PolygonalKnot.from_coordinates("bad", coords)
+
+    def test_coincident_message_comes_first(self):
+        # the zero edge is reported before the parallel check sees it
+        with pytest.raises(DegeneratePolygon, match="bad: vertices 1 and 2 coincide"):
+            PolygonalKnot.from_coordinates("bad", [(0, 0, 0), (1, 0, 0), (1, 0, 0), (2, 0, 0)])
 
     def test_rational_coordinates(self):
         p = PolygonalKnot.from_coordinates(
@@ -125,6 +143,44 @@ def _random_knot(rng, n):
             return PolygonalKnot.from_coordinates("rnd", verts)
         except DegeneratePolygon:
             continue
+
+
+_COORD = st.builds(
+    Fraction,
+    st.one_of(st.integers(-50, 50), st.integers(-(10**400), 10**400)),
+    st.one_of(st.integers(1, 12), st.integers(1, 10**400)),
+)
+
+
+@given(st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=3, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_integer_edges_match_primitive_vectors(verts):
+    try:
+        p = PolygonalKnot.from_coordinates("q", verts)
+    except DegeneratePolygon:
+        return
+    edges = edge_vectors(p).edges
+    flat = primitive_vector(c for e in edges for c in e)
+    rows = integer_edges(p)
+    assert all(type(x) is int for row in rows for x in row)
+    assert rows == tuple(flat[i : i + 3] for i in range(0, len(flat), 3))
+    for row, e in zip(rows, edges):
+        g = gcd(*row)
+        assert tuple(x // g for x in row) == primitive_vector(e)
+
+
+@given(
+    base=st.tuples(_COORD, _COORD, _COORD),
+    step=st.tuples(_COORD, _COORD, _COORD),
+    ts=st.lists(_COORD, min_size=3, max_size=7, unique=True),
+)
+@settings(max_examples=40, deadline=None)
+def test_points_on_a_line_are_all_parallel(base, step, ts):
+    if step == (0, 0, 0):
+        return
+    verts = [tuple(b + t * d for b, d in zip(base, step)) for t in ts]
+    with pytest.raises(DegeneratePolygon, match="all edges parallel"):
+        PolygonalKnot.from_coordinates("line", verts)
 
 
 def _generic_direction(rng, e):

@@ -3,6 +3,7 @@
 ``rebuild_goldens.py`` is left out: it rewrites the package's golden files.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,16 @@ def test_script_exits_0(argv, package_env):
     if "--negative-control" in argv:
         # each of the four workloads catches the wrong answer planted in it
         assert proc.stdout.count("planted error caught") == 4, proc.stdout
+
+
+def test_paired_bench_against_itself(package_env):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "paired_bench.py"), str(ROOT), str(ROOT),
+         "--seconds", "1", "--seeds", "1", "--workloads", "ensemble"],
+        env=package_env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    lines = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
+    assert [ln.split()[:2] for ln in lines] == [["ensemble", m] for m in metrics], proc.stdout
+    assert all("won " in ln for ln in lines)

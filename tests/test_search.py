@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -59,6 +61,31 @@ class TestSampler:
             for v in p.vertices:
                 dist_sq = sum((v[d] - centroid[d]) ** 2 for d in range(3))
                 assert dist_sq <= radius * radius
+
+    def test_draws_pinned(self, monkeypatch):
+        """Vertices and rng states of 1,040 draws, some redrawn, as recorded
+        with the all-Fraction sampler: the float sweeps and the integer
+        snapping may not move a bit."""
+        draws = []
+        isotropic = search_mod._isotropic_edges
+
+        def counted(n, rng):
+            draws.append(n)
+            return isotropic(n, rng)
+
+        monkeypatch.setattr(search_mod, "_isotropic_edges", counted)
+        h = hashlib.sha256()
+        polygons = 0
+        for radius, top in (("1", 8), ("3/2", 16), ("5/2", 32), ("3", 32)):
+            for n in range(3, top + 1):
+                rng = random.Random(f"pin:{radius}:{n}")
+                for _ in range(13):
+                    p = random_equilateral_polygon(n, radius, rng)
+                    h.update(" ".join(format_rational(c) for v in p.vertices for c in v).encode())
+                    h.update(repr(rng.getstate()).encode())
+                    polygons += 1
+        assert (polygons, len(draws)) == (1040, 1740)
+        assert h.hexdigest() == "b0a13f818a657b8fe54279b9116b1550a6885657ee14a39f08e53256389835c0"
 
     def test_retry_exhausted(self, monkeypatch):
         # 1/2 passes the radius check, but ten near-unit edges do not fit
@@ -141,6 +168,49 @@ class TestSearch:
         assert len(lines) == 13
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
         assert digest == "087c5f76ce027ad986944c7b4eab834b7f19292392528a77788081f27d63a4d5"
+
+    @pytest.mark.parametrize(
+        "n,target,samples,seed", [(6, 2, 40, 9), (8, 3, 30, 5), (7, 2, 30, 4)]
+    )
+    def test_screen_moves_no_candidate(self, monkeypatch, n, target, samples, seed):
+        """Without the screen every sample reaches the exact stage, and the
+        candidates are the same: the screen only splits the rejected samples
+        between screened_out and rejected-after-exact."""
+        cfg = SearchConfig(n=n, target=target, samples=samples, seed=seed, screen_samples=64)
+
+        def stream():
+            run = search(cfg)
+            cands = [
+                (c.knot.name, c.knot.vertices, c.exact_sb, c.certificate) for c in run
+            ]
+            return cands, run.stats
+
+        screened, stats = stream()
+        monkeypatch.setattr(search_mod, "sampled_lower_bound", lambda *args, **kwargs: 0)
+        unscreened, bare = stream()
+        assert screened == unscreened
+        assert (bare.generated, bare.confirmed, bare.screened_out) == (
+            stats.generated, stats.confirmed, 0
+        )
+        assert stats.screened_out <= stats.generated - stats.confirmed
+
+    def test_search_does_not_import_numpy_random(self, package_env):
+        # numpy.random costs about 6 MB of resident memory on import
+        code = (
+            "import sys, numpy\n"
+            "print('numpy' if 'numpy.random' in sys.modules else '', end='')\n"
+            "from superbridge import SearchConfig, search\n"
+            "cfg = SearchConfig(n=8, target=3, samples=6, seed=5, screen_samples=50)\n"
+            "assert len(list(search(cfg))) > 0\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=package_env, capture_output=True, text=True,
+            timeout=120,
+        )
+        if proc.stdout == "numpy":
+            pytest.skip("this numpy imports numpy.random itself")
+        assert proc.returncode == 0, proc.stderr
 
     def test_deterministic_stream(self):
         cfg = SearchConfig(n=6, target=2, samples=12, seed=21, screen_samples=50)
