@@ -6,8 +6,11 @@ edges, and distinct cells carry distinct patterns (a pattern's locus is an
 open convex cone). Enumerating cells therefore enumerates every realizable
 pattern; the superbridge number of the polygon is the maximal descent
 count over them. One exact integer matrix kernel finds every cell (see
-realizable_patterns). A witness direction is recovered only for a pattern
-a caller returns: superbridge_number, and so ``sb exact``, shrinks one.
+realizable_patterns): it reads a polygon's primitive edge rows from its
+one integer edge table and keeps each cell as a packed key of 8 rows per
+vertex, the other 8 being their complements. A witness direction is
+recovered only for a pattern a caller returns: superbridge_number, and so
+``sb exact``, shrinks one.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from numbers import Integral
 import numpy as np
 
 from .geometry import Direction, EdgeVectors, PolygonalKnot, SignPattern, integer_edges
-from .linalg import SuperbridgeError, canonical_line, cross3, dot3, primitive_vector
+from .linalg import SuperbridgeError, cross3, dot3, primitive_vector
 
 _DIRECTION_BOUND = 1 << 20
 _INT64_SAFE = (1 << 62) // (3 * _DIRECTION_BOUND)
@@ -29,8 +32,9 @@ _INT64_SAFE = (1 << 62) // (3 * _DIRECTION_BOUND)
 SCREEN_ENTRIES_MAX = 1 << 24
 #: Bound on the temporary bytes of one block of the arrangement kernel, for
 #: n up to KERNEL_TEMP_BYTES // 256 - 4 edges. A block of k vertex pairs
-#: takes at most 256 k (n + 4) bytes: the most measured is 200 k (n + 4), on
-#: planar polygons with Python-int products, where every edge is re-signed.
+#: takes at most 256 k (n + 4) bytes: the most measured is 215 k (n + 4), on
+#: planar polygons with Python-int products and 13-digit coordinates, where
+#: every edge is re-signed.
 KERNEL_TEMP_BYTES = 1 << 22
 # Perturbation j of a vertex v0 has d1 = -t1 if j & 2 and d2 = -t2 if j & 1;
 # j & 4 swaps the circles (t1 and t2), and j & 8 negates v0, d1 and d2.
@@ -76,9 +80,12 @@ def realizable_patterns(e: EdgeVectors) -> tuple[RealizablePattern, ...]:
     the largest |entry| of an edge, |V| <= 2M^2 and |T| <= 4M^3 entrywise,
     so |V . e| <= 6M^3 and |T . e| <= 12M^4: the products are exact int64
     when 12M^4 < 2^62, and Python ints otherwise. Pairs run in blocks
-    within KERNEL_TEMP_BYTES. Each block's rows, packed into big-endian
-    uint64 words so that word order is tuple order, merge into those found
-    so far by a stable sort, and so each pattern keeps the first triple
+    within KERNEL_TEMP_BYTES. Only the 8 perturbations at +V are signed:
+    their rows, packed into big-endian uint64 words so that word order is
+    tuple order, merge into those found so far, each keeping its first
+    visit. The complements of the survivors then stand for the 8 at -V (a
+    row first seen as perturbation j of a pair is first negated as j + 8),
+    and one more merge keeps, for each pattern, the first triple
     (v0, d1, d2) in visit order: pair, 8 perturbations, their 8 negations.
     """
     bits, witness = _cells([primitive_vector(edge) for edge in e.edges])
@@ -98,7 +105,8 @@ def _cells(prim: list[tuple[int, ...]]):
     the function giving row i its witness, for the primitive edges prim."""
     circles: dict[tuple, tuple] = {}
     for p in prim:
-        circles.setdefault(canonical_line(p), p)
+        # first nonzero entry positive: one key for the normals +-p
+        circles.setdefault(p if (p[0] or p[1] or p[2]) > 0 else (-p[0], -p[1], -p[2]), p)
     normals = list(circles.values())
     if len(normals) < 2:
         raise DegenerateEdgeSet("need at least two non-parallel edges")
@@ -107,17 +115,33 @@ def _cells(prim: list[tuple[int, ...]]):
     edges, circ = np.array(prim, dtype=dtype), np.array(normals, dtype=dtype)
     pa, pb = np.triu_indices(len(normals), 1)
     step = max(1, KERNEL_TEMP_BYTES // (256 * (n + 4)))
-    words, first = np.zeros((0, (n + 63) // 64), dtype=np.uint64), np.zeros(0, dtype=np.int64)
+    # Where one word has room below a key, it also holds the visit index.
+    spare = 64 - n if n < 64 and 16 * len(pa) <= 1 << (64 - n) else 0
+    keys, first = _pack(np.zeros((0, n), dtype=bool)), np.zeros(0, dtype=np.int64)
     for lo in range(0, len(pa), step):
-        block = _perturbation_bits(circ[pa[lo : lo + step]], circ[pb[lo : lo + step]], edges)
-        packed = np.packbits(block, axis=1)
-        packed = np.pad(packed, ((0, 0), (0, 8 * words.shape[1] - packed.shape[1])))
-        words = np.concatenate([words, packed.view(">u8").astype(np.uint64)])
-        first = np.concatenate([first, np.arange(16 * lo, 16 * lo + len(block))])
-        order = np.lexsort(words.T[::-1])
-        words, first = words[order], first[order]
-        keep = np.append(True, (words[1:] != words[:-1]).any(axis=1))
-        words, first = words[keep], first[keep]
+        hi = min(lo + step, len(pa))
+        na, nb = circ[pa[lo:hi]], circ[pb[lo:hi]]
+        v = _cross(na, nb)
+        dots = v @ edges.T
+        pi, ei = np.nonzero(dots == 0)
+        t1 = np.sign((_cross(v, na)[pi] * edges[ei]).sum(axis=1)).astype(np.int8)
+        t2 = np.sign((_cross(v, nb)[pi] * edges[ei]).sum(axis=1)).astype(np.int8)
+        lead = np.concatenate(
+            [np.where(t1 != 0, _S1 * t1, _S2 * t2), np.where(t2 != 0, _S1 * t2, _S2 * t1)]
+        )
+        block = np.repeat((dots > 0)[:, None], 8, axis=1)  # pair - lo, perturbation j
+        block[pi, :, ei] = (lead > 0).T
+        block = _pack(block.reshape(-1, n))
+        visit = (16 * np.arange(lo, hi)[:, None] + np.arange(8)).ravel()
+        keys, first = _first_rows(
+            np.concatenate([keys, block]), np.concatenate([first, visit]), spare
+        )
+    # Perturbation j + 8 of a pair negates perturbation j: complement the keys.
+    words, first = _first_rows(
+        np.concatenate([keys, keys ^ _pack(np.ones((1, n), dtype=bool))]),
+        np.concatenate([first, first + 8]),
+        spare,
+    )
     bits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=n).view(bool)
 
     def witness(i: int) -> Direction:
@@ -150,19 +174,34 @@ def _cells(prim: list[tuple[int, ...]]):
     return bits, witness
 
 
-def _perturbation_bits(na: np.ndarray, nb: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Sign bits of the 16 perturbations of each vertex na x nb, in visit order."""
-    v0 = np.cross(na, nb)
-    dots = v0 @ edges.T
-    bits = np.empty((len(v0), 16, len(edges)), dtype=bool)
-    bits[:, :8] = (dots > 0)[:, None]
-    pi, ei = np.nonzero(dots == 0)
-    t1 = np.sign((np.cross(v0, na)[pi] * edges[ei]).sum(axis=1)).astype(np.int8)
-    t2 = np.sign((np.cross(v0, nb)[pi] * edges[ei]).sum(axis=1)).astype(np.int8)
-    lead = [np.where(t1 != 0, _S1 * t1, _S2 * t2), np.where(t2 != 0, _S1 * t2, _S2 * t1)]
-    bits[pi, :8, ei] = (np.concatenate(lead) > 0).T
-    bits[:, 8:] = ~bits[:, :8]
-    return bits.reshape(-1, len(edges))
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of two k x 3 arrays, one column at a time."""
+    (x0, x1, x2), (y0, y1, y2) = x.T, y.T
+    return np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=1)
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """Bool rows packed into big-endian uint64 words, so word order is row order."""
+    packed = np.zeros((len(rows), (rows.shape[1] + 63) // 64 * 8), dtype=np.uint8)
+    packed[:, : (rows.shape[1] + 7) // 8] = np.packbits(rows, axis=1)
+    return packed.view(">u8").astype(np.uint64)
+
+
+def _first_rows(words: np.ndarray, first: np.ndarray, spare: int):
+    """The distinct rows of words in sorted order, each with its least ``first``.
+
+    With ``spare`` > 0 words has one column, whose low ``spare`` bits are 0
+    and hold every ``first``: key and index then sort as one distinct word.
+    """
+    if spare:
+        both = np.sort(words[:, 0] | first.astype(np.uint64))
+        key, first = both >> spare << spare, (both & ((1 << spare) - 1)).astype(np.int64)
+        keep = np.append(True, key[1:] != key[:-1])
+        return key[keep, None], first[keep]
+    order = np.lexsort(words.T[::-1])
+    words, first = words[order], first[order]
+    start = np.flatnonzero(np.append(True, (words[1:] != words[:-1]).any(axis=1)))
+    return words[start], np.minimum.reduceat(first, start)
 
 
 def jin_upper_bound(p: PolygonalKnot) -> int:

@@ -53,7 +53,9 @@ class PolygonalKnot:
     Vertices are ordered; the edge from the last vertex back to the first
     closes the cycle. At least three vertices, cyclically consecutive
     vertices distinct, and not all edges parallel (the curve must not lie
-    on a line).
+    on a line). The validation computes the polygon's one integer edge
+    table, which ``integer_edges`` returns; it is a plain attribute, not a
+    field, so equality, hashing and repr see the fields only.
     """
 
     name: str
@@ -69,9 +71,11 @@ class PolygonalKnot:
                 raise DegeneratePolygon(
                     f"{self.name}: vertices {i} and {(i + 1) % n} coincide"
                 )
-        first, *rest = integer_edges(self)
+        table = _scaled_edges(self.vertices)
+        first, *rest = table
         if all(is_zero3(cross3(first, e)) for e in rest):
             raise DegeneratePolygon(f"{self.name}: all edges parallel (curve lies on a line)")
+        object.__setattr__(self, "_integer_edges", table)
 
     @classmethod
     def from_coordinates(
@@ -99,7 +103,7 @@ class EdgeVectors:
     edges: tuple[Vec3, ...]
 
     def __post_init__(self):
-        total = (Fraction(0), Fraction(0), Fraction(0))
+        total = (0, 0, 0)
         for i, e in enumerate(self.edges):
             if is_zero3(e):
                 raise DegeneratePolygon(f"edge {i} is the zero vector")
@@ -177,9 +181,14 @@ def integer_edges(p: PolygonalKnot) -> tuple[tuple[int, int, int], ...]:
     differenced, and divided by the gcd of all the differences. A common
     factor keeps every linear relation among the edges, which per-edge
     factors would not; a row divided by its own gcd is that edge's
-    ``primitive_vector``. The edges of a PolygonalKnot are nonzero.
+    ``primitive_vector``. The table is computed once, when p is built, and
+    every call returns that same tuple.
     """
-    coords = [c for v in p.vertices for c in v]
+    return p._integer_edges
+
+
+def _scaled_edges(vertices: Sequence[Vec3]) -> tuple[tuple[int, int, int], ...]:
+    coords = [c for v in vertices for c in v]
     scale = math.lcm(*(c.denominator for c in coords))
     ints = [c.numerator * (scale // c.denominator) for c in coords]
     diffs = [b - a for a, b in zip(ints, ints[3:] + ints[:3])]

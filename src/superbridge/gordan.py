@@ -9,8 +9,10 @@ For a rational 3 x l matrix A, exactly one of the following holds:
 an exact phase-one simplex on ``{u >= 0 : A u = 0, sum(u) = 1}`` with
 Bland's anti-cycling rule. Infeasibility yields dual multipliers from
 which the separating direction is read off. Every certificate is verified
-in exact arithmetic before being returned. The simplex pivots on integer
-rows; ``_phase_one`` says why Bland's choices are those of a rational one.
+in exact arithmetic before being returned. The matrix is read once as
+A = (p/q) B with B coprime integer columns; the simplex pivots on integer
+rows built from (B, p, q), and ``_phase_one`` says why Bland's choices are
+those of the rational tableau. Both rechecks run on B.
 """
 
 from __future__ import annotations
@@ -64,8 +66,18 @@ Certificate = Union[SeparatingDirection, NullCombination]
 
 def verify_separating(a: GordanMatrix, v: Sequence) -> bool:
     """True iff every entry of v^T A is strictly positive (exact)."""
-    w = vec3(*(rational(x) for x in v))
+    w = _exact(v, 3, "v has {} entries, matrix has 3 rows")
     return all(dot3(w, col) > 0 for col in a.columns)
+
+
+def _exact(x: Sequence, size: int, mismatch: str) -> list[Fraction]:
+    """x as Fractions: DimensionMismatch unless it has ``size`` entries."""
+    if len(x) != size:
+        raise DimensionMismatch(mismatch.format(len(x), size))
+    try:
+        return [rational(e) for e in x]
+    except (ValueError, ZeroDivisionError):
+        raise SuperbridgeError(f"entries must be rational numbers, got {list(x)!r}") from None
 
 
 def null_vector_failure(columns: Sequence[Sequence], u: Sequence) -> Optional[str]:
@@ -90,9 +102,8 @@ def null_vector_failure(columns: Sequence[Sequence], u: Sequence) -> Optional[st
 
 def verify_null_combination(a: GordanMatrix, u: Sequence) -> bool:
     """True iff u >= 0, u != 0 and A u = 0, all checked exactly."""
-    if len(u) != len(a.columns):
-        raise DimensionMismatch(f"u has {len(u)} entries, matrix has {len(a.columns)} columns")
-    return null_vector_failure(a.columns, [rational(x) for x in u]) is None
+    u = _exact(u, len(a.columns), "u has {} entries, matrix has {} columns")
+    return null_vector_failure(a.columns, u) is None
 
 
 def gordan_decide(a: GordanMatrix) -> Certificate:
@@ -101,44 +112,67 @@ def gordan_decide(a: GordanMatrix) -> Certificate:
     Deterministic: the simplex uses Bland's rule throughout. The recheck
     of the certificate is an explicit raise, so ``python -O`` keeps it.
     """
-    feasible, u, y = _phase_one(a)
+    cols, p, q = _integer_columns(a)
+    feasible, u, y = _phase_one((cols, p, q))
     if feasible:
         cert_u = primitive_vector(u)
-        if null_vector_failure(a.columns, cert_u) is not None:
+        if null_vector_failure(cols, cert_u) is not None:
             raise SuperbridgeError("internal: null combination failed recheck")
         return NullCombination(u=cert_u)
     v = primitive_vector((-y[0], -y[1], -y[2]))
-    if not verify_separating(a, v):
+    if not all(dot3(v, col) > 0 for col in cols):
         raise SuperbridgeError("internal: separating direction failed recheck")
     return SeparatingDirection(v=v)
 
 
-def _phase_one(a: GordanMatrix):
+def _integer_columns(a: GordanMatrix) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """(B, p, q): coprime integer columns B and coprime p, q > 0, A = (p/q) B.
+
+    A u = 0 exactly when B u = 0, and v^T A has the signs of v^T B. A zero
+    matrix reads as B = 0, p = q = 1.
+    """
+    flat = [x for col in a.columns for x in col]
+    b = primitive_vector(flat)
+    i = next((i for i, x in enumerate(b) if x), None)
+    ratio = Fraction(1) if i is None else Fraction(flat[i]) / b[i]
+    return tuple(zip(b[0::3], b[1::3], b[2::3])), ratio.numerator, ratio.denominator
+
+
+def _reduced(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (one is nonzero)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _phase_one(a: tuple[tuple[tuple[int, ...], ...], int, int]):
     """Phase-one simplex on integer rows for {u >= 0 : A u = 0, sum(u) = 1}.
 
+    ``a`` is the matrix A = (p/q) B as ``_integer_columns`` reads it.
     Returns (True, u, None) on feasibility, else (False, None, y) where y
     are the optimal dual multipliers of the four equality rows.
 
-    Rows [A | I | rhs | 0] and the reduced-cost row (a sum of rows, so its
-    signs depend on the column scaling) are built from the rational columns,
-    then each row is scaled once to primitive integers and from then on is
-    known only up to its own positive factor. No factor changes a pivot:
-    Bland's entering rule reads only signs of the reduced-cost row, and the
-    ratio test compares rhs/coef within one row. The reduced-cost row's last
-    entry is its factor (1 in rational terms), so the duals come back exact.
+    The rational tableau has rows [A | I | rhs | 0] and the reduced-cost
+    row (a sum of rows, so its signs depend on the column scaling). Here
+    each row is that row times q, [p B_d | q I_d | 0 0], and the cost row is
+    q times the rational one, -(p sum(B) + q) | 0 | -q | q; each is reduced
+    once to coprime integers and from then on is known only up to its own
+    positive factor. No factor changes a pivot: Bland's entering rule reads
+    only signs of the reduced-cost row, and the ratio test compares
+    rhs/coef within one row. The reduced-cost row's last entry is its
+    factor (1 in rational terms), so the duals come back exact.
     """
-    ell, m = len(a.columns), 4
+    cols, p, q = a
+    ell, m = len(cols), 4
     width = ell + m
-    rows = [[col[d] for col in a.columns] for d in range(3)] + [[1] * ell]
-    for r in range(m):
-        rows[r] += [int(i == r) for i in range(m)] + [int(r == 3), 0]
+    rows = [_reduced([p * col[d] for col in cols] + [q * (i == d) for i in range(m)] + [0, 0])
+            for d in range(3)]
+    rows.append([1] * ell + [0, 0, 0, 1, 1, 0])
     # Minimize the artificial sum from the all-artificial basis; the rhs
     # entry of this row is minus the objective value.
-    obj = [-sum(row[q] for row in rows) for q in range(ell)] + [0] * m + [-1, 1]
-    rows = [list(primitive_vector(row)) for row in rows + [obj]]
+    rows.append(_reduced([-(p * sum(col) + q) for col in cols] + [0] * m + [-q, q]))
     basis = list(range(ell, width))
 
-    while (enter := next((q for q in range(width) if rows[m][q] < 0), None)) is not None:
+    while (enter := next((c for c in range(width) if rows[m][c] < 0), None)) is not None:
         leave = None
         for r in range(m):
             coef = rows[r][enter]
@@ -152,13 +186,11 @@ def _phase_one(a: GordanMatrix):
             leave = r
         if leave is None:
             raise SuperbridgeError("internal: phase-one objective unbounded")
-        pivot, p = rows[leave], rows[leave][enter]
+        pivot, piv = rows[leave], rows[leave][enter]
         for r, row in enumerate(rows):
             f = row[enter]
             if r != leave and f != 0:
-                row = [x * p - f * y for x, y in zip(row, pivot)]
-                g = gcd(*row)
-                rows[r] = [x // g for x in row] if g > 1 else row
+                rows[r] = _reduced([x * piv - f * y for x, y in zip(row, pivot)])
         basis[leave] = enter
 
     obj = rows[m]

@@ -93,21 +93,6 @@ def primitive_vector(v: Iterable[Rational]) -> tuple[int, ...]:
     return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
-def canonical_line(v: Sequence) -> tuple[int, ...]:
-    """Primitive integer representative of the line spanned by ``v``.
-
-    The first nonzero entry is made positive, so ``v`` and ``-v`` map to
-    the same key. Used to deduplicate great circles with parallel normals.
-    """
-    p = primitive_vector(v)
-    for x in p:
-        if x != 0:
-            if x < 0:
-                p = tuple(-y for y in p)
-            break
-    return p
-
-
 def format_rational(x: Fraction | int) -> str:
     f = Fraction(x)
     if f.denominator == 1:

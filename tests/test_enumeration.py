@@ -20,14 +20,22 @@ from superbridge import (
 )
 from superbridge.enumeration import KERNEL_TEMP_BYTES, DegenerateEdgeSet, superbridge_census
 from superbridge.geometry import EdgeVectors, NonGenericDirection, cyclic_descents
-from superbridge.linalg import (
-    SuperbridgeError,
-    canonical_line,
-    cross3,
-    dot3,
-    neg3,
-    primitive_vector,
-)
+from superbridge.linalg import SuperbridgeError, cross3, dot3, neg3, primitive_vector
+
+
+def canonical_line(v):
+    """Primitive integer representative of the line spanned by ``v``.
+
+    The first nonzero entry is made positive, so ``v`` and ``-v`` map to
+    the same key: the reference walk's key for great circles.
+    """
+    p = primitive_vector(v)
+    for x in p:
+        if x != 0:
+            if x < 0:
+                p = tuple(-y for y in p)
+            break
+    return p
 
 
 def arrangement_cell_count(e):

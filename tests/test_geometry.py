@@ -1,3 +1,6 @@
+import copy as copy_module
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -18,7 +21,13 @@ from superbridge import (
     quantize,
     sign_pattern,
 )
-from superbridge.geometry import EdgeVectors, KnotTypePreservationWarning, SignPattern, integer_edges
+from superbridge.geometry import (
+    EdgeVectors,
+    KnotTypePreservationWarning,
+    SignPattern,
+    _scaled_edges,
+    integer_edges,
+)
 from superbridge.linalg import primitive_vector
 
 
@@ -88,6 +97,18 @@ class TestEdgeVectors:
                     (Fraction(0), Fraction(1), Fraction(0)),
                 )
             )
+
+    def test_open_polygon_messages(self):
+        # Fraction edges print their sum as Fractions, integer edges as ints
+        fracs = ((Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1, 2), Fraction(0)))
+        with pytest.raises(DegeneratePolygon) as exc:
+            EdgeVectors(edges=fracs)
+        assert str(exc.value) == (
+            "edges do not close up (sum (Fraction(1, 1), Fraction(1, 2), Fraction(0, 1)))"
+        )
+        with pytest.raises(DegeneratePolygon) as exc:
+            EdgeVectors(edges=((1, 0, 0), (0, 2, 0), (-1, -1, 0)))
+        assert str(exc.value) == "edges do not close up (sum (0, 1, 0))"
 
 
 class TestSignPattern:
@@ -167,6 +188,42 @@ def test_integer_edges_match_primitive_vectors(verts):
     for row, e in zip(rows, edges):
         g = gcd(*row)
         assert tuple(x // g for x in row) == primitive_vector(e)
+
+
+class TestEdgeTable:
+    """The integer edge table a PolygonalKnot keeps beside its fields."""
+
+    @pytest.fixture
+    def knot(self):
+        return PolygonalKnot.from_coordinates(
+            "t", [("1/2", 0, 0), (3, "-1/3", 1), (0, 2, "5/7"), (-1, 0, 0)], provenance="src"
+        )
+
+    def test_not_a_field(self, knot):
+        assert [f.name for f in dataclasses.fields(knot)] == ["name", "vertices", "provenance"]
+
+    def test_eq_hash_repr_see_fields_only(self, knot):
+        twin = PolygonalKnot(name=knot.name, vertices=knot.vertices, provenance=knot.provenance)
+        assert twin == knot and twin is not knot
+        assert hash(knot) == hash((knot.name, knot.vertices, knot.provenance))
+        assert repr(knot) == (
+            f"PolygonalKnot(name='t', vertices={knot.vertices!r}, provenance='src')"
+        )
+
+    def test_same_object_on_every_call(self, knot):
+        table = integer_edges(knot)
+        assert integer_edges(knot) is table
+        assert table == _scaled_edges(knot.vertices)
+
+    def test_replace_and_pickle(self, knot):
+        moved = dataclasses.replace(knot, vertices=knot.vertices[1:] + knot.vertices[:1])
+        assert integer_edges(moved) == _scaled_edges(moved.vertices)
+        assert integer_edges(moved) == integer_edges(knot)[1:] + integer_edges(knot)[:1]
+        renamed = dataclasses.replace(knot, name="u")
+        assert renamed != knot and integer_edges(renamed) == integer_edges(knot)
+        for copy in (pickle.loads(pickle.dumps(knot)), copy_module.deepcopy(knot)):
+            assert copy == knot and hash(copy) == hash(knot) and repr(copy) == repr(knot)
+            assert integer_edges(copy) == integer_edges(knot)
 
 
 @given(

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,10 @@ from superbridge import (
     verify_null_combination,
     verify_separating,
 )
-from superbridge.gordan import DimensionMismatch, null_vector_failure
+from superbridge.certificates import build_odd_systems
+from superbridge.gordan import DimensionMismatch, _integer_columns, _phase_one, null_vector_failure
+from superbridge.linalg import SuperbridgeError, primitive_vector
+from superbridge.search import random_equilateral_polygon
 
 ANTIPODAL = GordanMatrix.from_columns([(1, 0, 0), (-1, 0, 0)])
 
@@ -90,6 +94,28 @@ class TestVerifiers:
     def test_separating_rejects_antipodal(self):
         for v in [(1, 0, 0), (0, 1, 0), (1, 2, 3), (-1, 5, 0)]:
             assert not verify_separating(ANTIPODAL, v)
+
+    @pytest.mark.parametrize("v", [(1, 0), (1, 0, 0, 0), ()])
+    def test_separating_wrong_length(self, v):
+        m = GordanMatrix.from_columns([(1, 0, 0)])
+        with pytest.raises(DimensionMismatch, match=f"v has {len(v)} entries, matrix has 3 rows"):
+            verify_separating(m, v)
+
+    @pytest.mark.parametrize("v", [("x", 0, 0), (1, "1/0", 0), (None, 0, 0)])
+    def test_separating_non_rational_entry(self, v):
+        m = GordanMatrix.from_columns([(1, 0, 0)])
+        with pytest.raises(SuperbridgeError, match="entries must be rational numbers"):
+            verify_separating(m, v)
+
+    @pytest.mark.parametrize("u", [("x",), ("1/0",)])
+    def test_null_non_rational_entry(self, u):
+        m = GordanMatrix.from_columns([(1, 0, 0)])
+        with pytest.raises(SuperbridgeError, match="entries must be rational numbers"):
+            verify_null_combination(m, u)
+
+    def test_rational_strings_accepted(self):
+        assert verify_separating(GordanMatrix.from_columns([(1, 0, 0)]), ("1/2", "-3", 0))
+        assert verify_null_combination(ANTIPODAL, ("1/3", "1/3"))
 
     def test_zero_row_not_strictly_positive(self):
         m = GordanMatrix.from_columns([(1, 0, 0), (0, 1, 0)])
@@ -202,3 +228,80 @@ def test_decisions_pinned_on_seeded_random_matrices():
         lines.append(f"{type(cert).__name__} {' '.join(map(str, values))}\n")
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == "769fb10d9dafe368da7f576fda0693a0bf47df9e8900ed69974514c9e853fef7"
+
+
+def _reference_phase_one(a: GordanMatrix):
+    """The phase-one simplex as it read the rational columns of A directly.
+
+    Rows [A | I | rhs | 0] and the reduced-cost row are built from the
+    Fraction columns, then each row is scaled once to primitive integers;
+    the integer tableau of ``gordan._phase_one`` must pivot exactly as this.
+    """
+    ell, m = len(a.columns), 4
+    width = ell + m
+    rows = [[col[d] for col in a.columns] for d in range(3)] + [[1] * ell]
+    for r in range(m):
+        rows[r] += [int(i == r) for i in range(m)] + [int(r == 3), 0]
+    obj = [-sum(row[q] for row in rows) for q in range(ell)] + [0] * m + [-1, 1]
+    rows = [list(primitive_vector(row)) for row in rows + [obj]]
+    basis = list(range(ell, width))
+
+    while (enter := next((q for q in range(width) if rows[m][q] < 0), None)) is not None:
+        leave = None
+        for r in range(m):
+            coef = rows[r][enter]
+            if coef <= 0:
+                continue
+            if leave is not None:
+                lhs, rhs = rows[r][width] * rows[leave][enter], rows[leave][width] * coef
+                if lhs > rhs or (lhs == rhs and basis[r] > basis[leave]):
+                    continue
+            leave = r
+        pivot, p = rows[leave], rows[leave][enter]
+        for r, row in enumerate(rows):
+            f = row[enter]
+            if r != leave and f != 0:
+                row = [x * p - f * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
+        basis[leave] = enter
+
+    obj = rows[m]
+    if obj[width] == 0:
+        u = [Fraction(0)] * ell
+        for r in range(m):
+            if basis[r] < ell:
+                u[basis[r]] = Fraction(rows[r][width], rows[r][basis[r]])
+        return True, u, None
+    scale = obj[width + 1]
+    return False, None, [Fraction(scale - obj[ell + i], scale) for i in range(m)]
+
+
+def _assert_phase_one_matches_reference(m: GordanMatrix):
+    b, p, q = _integer_columns(m)
+    assert [Fraction(p, q) * x for col in b for x in col] == [x for col in m.columns for x in col]
+    assert _phase_one((b, p, q)) == _reference_phase_one(m)
+
+
+_ENTRY = st.builds(
+    Fraction,
+    st.one_of(st.integers(-20, 20), st.integers(-(10**30), 10**30)),
+    st.one_of(st.integers(1, 12), st.integers(1, 10**30)),
+)
+_COLUMN = st.one_of(st.tuples(_ENTRY, _ENTRY, _ENTRY), st.just((Fraction(0),) * 3))
+
+
+@given(st.lists(_COLUMN, min_size=1, max_size=14))
+@settings(max_examples=200, deadline=None)
+def test_phase_one_matches_rational_reference(cols):
+    """Mixed denominators, zero columns and 10^30-size entries."""
+    _assert_phase_one_matches_reference(GordanMatrix(columns=tuple(cols)))
+
+
+def test_phase_one_matches_reference_on_certify_systems():
+    """The odd systems of the benchmark's ``certify`` polygons, seed 1."""
+    rng = random.Random("certify:1")
+    for n in range(11, 32, 2):
+        p = random_equilateral_polygon(n, Fraction(3), rng, name=f"certify{n}")
+        for system in build_odd_systems(edge_vectors(p)).systems:
+            _assert_phase_one_matches_reference(system)

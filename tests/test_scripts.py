@@ -44,3 +44,13 @@ def test_paired_bench_against_itself(package_env):
     lines = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
     assert [ln.split()[:2] for ln in lines] == [["ensemble", m] for m in metrics], proc.stdout
     assert all("won " in ln for ln in lines)
+
+
+def test_compare_outputs_against_itself(package_env):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), str(ROOT), str(ROOT)],
+        env=package_env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # 22 realizations x exact/find x text/json, 20 + 1 verify runs x 2, 12 tables
+    assert proc.stdout.splitlines() == ["142 invocations, 0 differ"], proc.stdout
