@@ -5,12 +5,15 @@
 Both checkouts run the same invocations on the data files of CHANGE:
 ``sb exact`` and ``sb find`` (text and ``--json``) on every realization of
 the corpus manifest, ``sb verify`` (text and ``--json``) on each shipped
-certificate and on all of them at once, and ``sb table`` on each metadata
-file in every ``--format``, with and without ``--exact-only``. Each
-checkout's package is imported afresh into this process, as the benchmark
-does, and every invocation's exit status, stdout and stderr are recorded.
-Every invocation whose record differs is printed; the exit status is 1 if
-any differs, else 0.
+certificate and on all of them at once, ``sb table`` on each metadata
+file in every ``--format``, with and without ``--exact-only``, and a few
+fixed ``sb search`` runs (n on both sides of the sampler's plain-float size
+rule, radii 1, 3/2 and 5/2, candidates with certificates), each into a fresh
+temporary directory. Each checkout's package is imported afresh into this
+process, as the benchmark does, and every invocation's exit status, stdout
+and stderr are recorded, with every file a search writes (its manifest,
+``.txt`` and ``.cert`` files). Every invocation whose record differs is
+printed; the exit status is 1 if any differs, else 0.
 """
 
 from __future__ import annotations
@@ -21,7 +24,19 @@ import importlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
+
+#: Stands for the fresh output directory of each ``sb search`` run.
+OUT = "OUT"
+SEARCHES = [
+    "--edges 6 --target 2 --samples 40 --seed 9 --screen-samples 64",
+    "--edges 8 --target 3 --samples 20 --seed 4 --radius 1",
+    "--edges 12 --target 4 --samples 20 --seed 2 --radius 5/2",
+    "--edges 31 --target 12 --samples 4 --seed 5 --radius 5/2",
+    "--edges 32 --target 12 --samples 4 --seed 6 --radius 3",
+    "--edges 33 --target 16 --samples 3 --seed 7 --radius 5/2",
+]
 
 
 def invocations(data: Path) -> list[list[str]]:
@@ -38,11 +53,28 @@ def invocations(data: Path) -> list[list[str]]:
         for fmt in ("text", "csv", "json"):
             for flag in ([], ["--exact-only"]):
                 runs.append(["table", "--metadata", str(meta), "--format", fmt, *flag])
+    runs += [["search", *config.split(), "--out", OUT] for config in SEARCHES]
     return runs
 
 
-def outputs(checkout: Path, runs: list[list[str]]) -> list[tuple[object, str, str]]:
-    """(exit status, stdout, stderr) of each run, with the package of ``checkout``."""
+def run(cli, argv: list[str]) -> tuple[object, str, str, dict[str, bytes]]:
+    """(exit status, stdout, stderr, files written) of one ``sb`` invocation."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([tmp if arg == OUT else arg for arg in argv])
+            except SystemExit as exc:
+                code = exc.code
+        files = {
+            path.relative_to(tmp).as_posix(): path.read_bytes()
+            for path in sorted(Path(tmp).rglob("*")) if path.is_file()
+        }
+        return code, out.getvalue().replace(tmp, OUT), err.getvalue().replace(tmp, OUT), files
+
+
+def outputs(checkout: Path, runs: list[list[str]]) -> list[tuple]:
+    """``run`` of each argument list, with the package of ``checkout``."""
     for name in [m for m in sys.modules if m == "superbridge" or m.startswith("superbridge.")]:
         del sys.modules[name]
     src = str(checkout / "src")
@@ -51,16 +83,7 @@ def outputs(checkout: Path, runs: list[list[str]]) -> list[tuple[object, str, st
         cli = importlib.import_module("superbridge.cli")
         if not cli.__file__.startswith(src):
             raise SystemExit(f"error: superbridge was not imported from {src}")
-        records = []
-        for argv in runs:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-            records.append((code, out.getvalue(), err.getvalue()))
-        return records
+        return [run(cli, argv) for argv in runs]
     finally:
         sys.path.remove(src)
 
@@ -78,7 +101,10 @@ def main(argv=None) -> int:
     for argv, old, new in zip(runs, before, after):
         if old != new:
             differ += 1
-            parts = [part for part, a, b in zip(("exit status", "stdout", "stderr"), old, new) if a != b]
+            parts = [
+                part for part, a, b in zip(("exit status", "stdout", "stderr", "files"), old, new)
+                if a != b
+            ]
             shown = [str(Path(a).relative_to(data)) if a.startswith(str(data)) else a for a in argv]
             print(f"differs ({', '.join(parts)}): sb {' '.join(shown)}")
     print(f"{len(runs)} invocations, {differ} differ")

@@ -82,11 +82,13 @@ def realizable_patterns(e: EdgeVectors) -> tuple[RealizablePattern, ...]:
     when 12M^4 < 2^62, and Python ints otherwise. Pairs run in blocks
     within KERNEL_TEMP_BYTES. Only the 8 perturbations at +V are signed:
     their rows, packed into big-endian uint64 words so that word order is
-    tuple order, merge into those found so far, each keeping its first
-    visit. The complements of the survivors then stand for the 8 at -V (a
-    row first seen as perturbation j of a pair is first negated as j + 8),
-    and one more merge keeps, for each pattern, the first triple
-    (v0, d1, d2) in visit order: pair, 8 perturbations, their 8 negations.
+    tuple order, are held block by block and merge into those found so far
+    whenever the held rows outnumber them, and after the last block, each
+    pattern keeping its first visit. The complements of the survivors then
+    stand for the 8 at -V (a row first seen as perturbation j of a pair is
+    first negated as j + 8), and one more merge keeps, for each pattern, the
+    first triple (v0, d1, d2) in visit order: pair, 8 perturbations, their 8
+    negations.
     """
     bits, witness = _cells([primitive_vector(edge) for edge in e.edges])
     return tuple(
@@ -118,6 +120,7 @@ def _cells(prim: list[tuple[int, ...]]):
     # Where one word has room below a key, it also holds the visit index.
     spare = 64 - n if n < 64 and 16 * len(pa) <= 1 << (64 - n) else 0
     keys, first = _pack(np.zeros((0, n), dtype=bool)), np.zeros(0, dtype=np.int64)
+    held, held_first = [], []  # packed rows and visit indices not merged yet
     for lo in range(0, len(pa), step):
         hi = min(lo + step, len(pa))
         na, nb = circ[pa[lo:hi]], circ[pb[lo:hi]]
@@ -131,11 +134,15 @@ def _cells(prim: list[tuple[int, ...]]):
         )
         block = np.repeat((dots > 0)[:, None], 8, axis=1)  # pair - lo, perturbation j
         block[pi, :, ei] = (lead > 0).T
-        block = _pack(block.reshape(-1, n))
-        visit = (16 * np.arange(lo, hi)[:, None] + np.arange(8)).ravel()
-        keys, first = _first_rows(
-            np.concatenate([keys, block]), np.concatenate([first, visit]), spare
-        )
+        held.append(_pack(block.reshape(-1, n)))
+        held_first.append((16 * np.arange(lo, hi)[:, None] + np.arange(8)).ravel())
+        # Merging only once the held rows outnumber the found ones keeps the
+        # merge work linear in the rows signed rather than quadratic in blocks.
+        if hi == len(pa) or sum(map(len, held)) > len(keys):
+            keys, first = _first_rows(
+                np.concatenate([keys, *held]), np.concatenate([first, *held_first]), spare
+            )
+            held, held_first = [], []
     # Perturbation j + 8 of a pair negates perturbation j: complement the keys.
     words, first = _first_rows(
         np.concatenate([keys, keys ^ _pack(np.ones((1, n), dtype=bool))]),

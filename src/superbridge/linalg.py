@@ -84,13 +84,16 @@ def primitive_vector(v: Iterable[Rational]) -> tuple[int, ...]:
     This is the package's one denominator-clearing step. Every entry is
     multiplied by the same positive rational, so signs, zeros and every
     homogeneous linear equation in the entries are preserved. The zero
-    vector maps to itself.
+    vector maps to itself. Entries that are all of type ``int`` go straight
+    to the gcd; anything else (bools too) is coerced through ``rational``.
     """
-    fracs = [rational(x) for x in v]
-    scale = lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (scale // f.denominator) for f in fracs]
+    ints = tuple(v)
+    if not all(type(x) is int for x in ints):
+        fracs = [rational(x) for x in ints]
+        scale = lcm(*(f.denominator for f in fracs))
+        ints = tuple(f.numerator * (scale // f.denominator) for f in fracs)
     g = gcd(*ints)
-    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+    return tuple(x // g for x in ints) if g > 1 else ints
 
 
 def format_rational(x: Fraction | int) -> str:

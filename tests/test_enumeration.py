@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 from fractions import Fraction
 from math import isqrt
@@ -18,6 +19,7 @@ from superbridge import (
     sign_pattern,
     superbridge_number,
 )
+from superbridge import enumeration
 from superbridge.enumeration import KERNEL_TEMP_BYTES, DegenerateEdgeSet, superbridge_census
 from superbridge.geometry import EdgeVectors, NonGenericDirection, cyclic_descents
 from superbridge.linalg import SuperbridgeError, cross3, dot3, neg3, primitive_vector
@@ -353,6 +355,35 @@ def test_large_n_stays_within_the_block_bound():
         tracemalloc.stop()
     assert peak < KERNEL_TEMP_BYTES
     assert res.pattern_count == arrangement_cell_count(edge_vectors(p))
+
+
+def _cells_record(prim):
+    """Sign bits, first visit indices and witnesses of every row of ``_cells``."""
+    bits, witness = enumeration._cells(prim)
+    first = inspect.getclosurevars(witness).nonlocals["first"]
+    return bits.tolist(), first.tolist(), [witness(i).v for i in range(len(bits))]
+
+
+@pytest.mark.parametrize("n,pairs_per_block", [(12, 1), (13, 4), (60, 7)])
+def test_many_small_blocks_merge_to_the_same_cells(monkeypatch, n, pairs_per_block):
+    """Blocks of a few vertex pairs, held and merged in batches, give the
+    patterns, first visits and witnesses of the unpatched kernel: through the
+    one-word merge (n = 12, 13) and the lexsort merge (n = 60)."""
+    prim = enumeration._primitive_rows(_random_knot(random.Random(n), n))
+    expected = _cells_record(prim)
+    merges = []
+    first_rows = enumeration._first_rows
+
+    def counted(words, first, spare):
+        merges.append(spare)
+        return first_rows(words, first, spare)
+
+    monkeypatch.setattr(enumeration, "_first_rows", counted)
+    monkeypatch.setattr(enumeration, "KERNEL_TEMP_BYTES", 256 * (n + 4) * pairs_per_block)
+    assert _cells_record(prim) == expected
+    blocks = -(-(n * (n - 1) // 2) // pairs_per_block)  # n circles, one per edge
+    assert 2 < len(merges) < blocks
+    assert all(merges) == (n < 60)
 
 
 def test_corpus_completeness_ten_thousand_directions(corpus):

@@ -52,5 +52,5 @@ def test_compare_outputs_against_itself(package_env):
         env=package_env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    # 22 realizations x exact/find x text/json, 20 + 1 verify runs x 2, 12 tables
-    assert proc.stdout.splitlines() == ["142 invocations, 0 differ"], proc.stdout
+    # 22 realizations x exact/find x text/json, 20 + 1 verify runs x 2, 12 tables, 6 searches
+    assert proc.stdout.splitlines() == ["148 invocations, 0 differ"], proc.stdout

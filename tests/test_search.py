@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from superbridge import (
@@ -87,6 +88,27 @@ class TestSampler:
         assert (polygons, len(draws)) == (1040, 1740)
         assert h.hexdigest() == "b0a13f818a657b8fe54279b9116b1550a6885657ee14a39f08e53256389835c0"
 
+    def test_large_draws_pinned(self, monkeypatch):
+        """As test_draws_pinned, for n = 33..64 (the array path), as recorded
+        before the plain-float path existed."""
+        draws = []
+        isotropic = search_mod._isotropic_edges
+
+        def counted(n, rng):
+            draws.append(n)
+            return isotropic(n, rng)
+
+        monkeypatch.setattr(search_mod, "_isotropic_edges", counted)
+        h = hashlib.sha256()
+        for radius in ("5/2", "3"):
+            for n in range(33, 65):
+                rng = random.Random(f"pin:{radius}:{n}")
+                p = random_equilateral_polygon(n, radius, rng)
+                h.update(" ".join(format_rational(c) for v in p.vertices for c in v).encode())
+                h.update(repr(rng.getstate()).encode())
+        assert len(draws) == 2857
+        assert h.hexdigest() == "ec0b6c2043c4496db8275a6c919b2d608f10d25363c2f6b6f1cdbff449c46500"
+
     def test_retry_exhausted(self, monkeypatch):
         # 1/2 passes the radius check, but ten near-unit edges do not fit
         monkeypatch.setattr(search_mod, "_MAX_TRIES", 25)
@@ -103,6 +125,78 @@ class TestSampler:
             random_equilateral_polygon(10, radius, random.Random(0))
         with pytest.raises(SuperbridgeError, match="1/2"):
             SearchConfig(n=10, target=3, samples=1, seed=0, confinement_radius=radius)
+
+
+def _path_stream(monkeypatch, plain_max_n, n, radius):
+    """Snapped edges, polygon (None if rejected) and rng state of 50 draws,
+    each one call of random_equilateral_polygon with one try."""
+    monkeypatch.setattr(search_mod, "PLAIN_MAX_N", plain_max_n)
+    monkeypatch.setattr(search_mod, "_MAX_TRIES", 1)
+    snapped = []
+    for name in ("_snap_rows", "_snap_array"):
+        def record(edges, snap=getattr(search_mod, name), name=name):
+            out = snap(edges)
+            snapped.append((name, [tuple(e) for e in out]))
+            return out
+
+        monkeypatch.setattr(search_mod, name, record)
+    rng = random.Random(f"paths:{radius}:{n}")
+    out = []
+    for _ in range(50):
+        try:
+            vertices = random_equilateral_polygon(n, radius, rng).vertices
+        except RetryExhausted:
+            vertices = None
+        out.append((vertices, rng.getstate()))
+    monkeypatch.undo()
+    return snapped, out
+
+
+class _ZeroTriples(random.Random):
+    """Normal draws in which every fifth triple is 0 and every seventh tiny."""
+
+    calls = 0
+
+    def gauss(self, mu=0.0, sigma=1.0):
+        value, triple = super().gauss(mu, sigma), self.calls // 3
+        self.calls += 1
+        if triple % 5 == 2:
+            return 0.0
+        return value * 1e-10 if triple % 7 == 4 else value
+
+
+class TestSamplerPaths:
+    """The plain-float and the array path of the sampler draw the same polygons."""
+
+    @pytest.mark.parametrize("radius", ["1", "3/2", "5/2"])
+    def test_both_paths_agree(self, monkeypatch, radius):
+        for n in range(3, 65):
+            plain_snaps, plain = _path_stream(monkeypatch, 64, n, radius)
+            array_snaps, array = _path_stream(monkeypatch, 0, n, radius)
+            assert {name for name, _ in plain_snaps} == {"_snap_rows"}
+            assert {name for name, _ in array_snaps} == {"_snap_array"}
+            assert [e for _, e in plain_snaps] == [e for _, e in array_snaps], n
+            assert plain == array, n
+
+    def test_size_rule(self):
+        rng = random.Random(0)
+        assert isinstance(search_mod._isotropic_edges(search_mod.PLAIN_MAX_N, rng), list)
+        assert isinstance(search_mod._isotropic_edges(search_mod.PLAIN_MAX_N + 1, rng), np.ndarray)
+
+    @pytest.mark.parametrize("n", [3, 10, 31, 32, 64])
+    def test_tiny_triples_are_redrawn_alike(self, n):
+        plain_rng, array_rng = _ZeroTriples(n), _ZeroTriples(n)
+        rows = search_mod._isotropic_rows(n, plain_rng)
+        edges = search_mod._isotropic_array(n, array_rng)
+        assert plain_rng.calls == array_rng.calls > 3 * n
+        assert plain_rng.getstate() == array_rng.getstate()
+        assert rows == [tuple(e) for e in edges.tolist()]
+        assert search_mod._snap_rows(rows) == [tuple(e) for e in search_mod._snap_array(edges)]
+
+    def test_edge_closing_to_zero_takes_the_array_path(self):
+        rows = [(1.0, 0.0, 0.0)] * 3
+        with np.errstate(all="ignore"):
+            assert search_mod._snap_rows(rows) == search_mod._snap_array(np.array(rows))
 
 
 class TestConfig:
