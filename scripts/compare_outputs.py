@@ -7,8 +7,8 @@ Both checkouts run the same invocations on the data files of CHANGE:
 the corpus manifest, ``sb verify`` (text and ``--json``) on each shipped
 certificate and on all of them at once, ``sb table`` on each metadata
 file in every ``--format``, with and without ``--exact-only``, and a few
-fixed ``sb search`` runs (n on both sides of the sampler's plain-float size
-rule, radii 1, 3/2 and 5/2, candidates with certificates), each into a fresh
+fixed ``sb search`` runs (n = 6 to 33, radii 1, 3/2, 5/2 and 3, candidates
+with certificates), each into a fresh
 temporary directory. Each checkout's package is imported afresh into this
 process, as the benchmark does, and every invocation's exit status, stdout
 and stderr are recorded, with every file a search writes (its manifest,

@@ -90,7 +90,7 @@ def realizable_patterns(e: EdgeVectors) -> tuple[RealizablePattern, ...]:
     first triple (v0, d1, d2) in visit order: pair, 8 perturbations, their 8
     negations.
     """
-    bits, witness = _cells([primitive_vector(edge) for edge in e.edges])
+    bits, _, witness = _cells([primitive_vector(edge) for edge in e.edges])
     return tuple(
         RealizablePattern(pattern=SignPattern(signs=tuple(row)), witness=witness(i))
         for i, row in enumerate(np.where(bits, 1, -1).tolist())
@@ -103,8 +103,9 @@ def _primitive_rows(p: PolygonalKnot) -> list[tuple[int, ...]]:
 
 
 def _cells(prim: list[tuple[int, ...]]):
-    """Sign bits (True for +) of the realizable patterns, rows sorted, and
-    the function giving row i its witness, for the primitive edges prim."""
+    """Sign bits (True for +) of the realizable patterns, rows sorted, the
+    first visit of each row (16 x vertex pair + perturbation), and the
+    function giving row i its witness, for the primitive edges prim."""
     circles: dict[tuple, tuple] = {}
     for p in prim:
         # first nonzero entry positive: one key for the normals +-p
@@ -178,7 +179,7 @@ def _cells(prim: list[tuple[int, ...]]):
                 raise SuperbridgeError("internal: witness shrink failed past its proven bound")
             k *= 2
 
-    return bits, witness
+    return bits, first, witness
 
 
 def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -224,7 +225,7 @@ def superbridge_number(p: PolygonalKnot) -> SuperbridgeResult:
 
 def superbridge_census(p: PolygonalKnot) -> tuple[SuperbridgeResult, dict[int, int]]:
     """superbridge_number(p), and how many patterns have each descent count."""
-    bits, witness = _cells(_primitive_rows(p))
+    bits, _, witness = _cells(_primitive_rows(p))
     descents = (bits & ~np.roll(bits, -1, axis=1)).sum(axis=1)
     best = int(descents.argmax())
     if descents[best] > jin_upper_bound(p):

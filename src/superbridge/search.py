@@ -9,14 +9,14 @@ only when its exact value provably exceeds the target.
 The sampler is a baseline: edge directions are drawn isotropically,
 alternately renormalized and closed in floating point, in a fixed operation
 order so that each polygon is a pure function of the ``random.Random``
-state, then snapped to a rational grid. That float phase has two paths
-with the same operations in the same order, and so the same polygons bit
-for bit. Up to PLAIN_MAX_N edges it runs on rows of plain Python floats,
-above it as numpy sweeps over an n x 3 array. A draw takes about 33 sweeps,
-and for small n numpy's cost per call outweighs its arithmetic: measured
-per draw (2-core Xeon, Python 3.11, numpy 2.4), plain floats are 2.8x as
-fast at n = 10, 1.4x at n = 24 and 1.2x at n = 28-31, break even at
-n = 32-36 and run at 0.7x at n = 64. The rule reads only n.
+state, then snapped to a rational grid. The float phase runs on rows of
+plain Python floats: a draw takes about 33 sweeps over n edges, and at the
+sampled sizes numpy's cost per call outweighs its arithmetic. Measured per
+draw (2-core Xeon, Python 3.11, numpy 2.4), plain floats are 2.8x as fast
+as numpy sweeps at n = 10, 1.4x at n = 24 and 1.2x at n = 28-31, break even
+at n = 32-36 and run at 0.7x at n = 64. The rows do the numpy sweeps' float
+operations in the same order, so the polygons are the same bit for bit;
+tests/test_search.py keeps those sweeps as the reference.
 From the snap on everything is integer arithmetic: the residual closure
 defect is folded in exactly, and confinement is an exact integer test.
 Fractions are built only for the returned polygon. The screen draws its
@@ -33,8 +33,6 @@ from fractions import Fraction
 from math import sqrt
 from typing import Iterator, Optional
 
-import numpy as np
-
 from .certificates import CertificateBundle, find_certificate
 from .enumeration import SCREEN_ENTRIES_MAX, jin_upper_bound, sampled_lower_bound, superbridge_number
 from .geometry import PolygonalKnot
@@ -47,8 +45,6 @@ class RetryExhausted(SuperbridgeError):
 
 _GRID = 1 << 24
 _MAX_TRIES = 10**6
-#: Largest n whose draws run on plain floats; numpy runs larger ones.
-PLAIN_MAX_N = 31
 
 
 def _check_radius(value: Rational) -> Fraction:
@@ -103,17 +99,12 @@ class SearchStats:
     confirmed: int = 0
 
 
-def _isotropic_edges(n: int, rng: random.Random) -> list[tuple[float, float, float]] | np.ndarray:
-    """n unit edges, each a normalized triple of normal draws: rows of
-    3-tuples when n <= PLAIN_MAX_N, else an n x 3 array.
+def _isotropic_edges(n: int, rng: random.Random) -> list[tuple[float, float, float]]:
+    """n unit edges, each a normalized triple of normal draws.
 
     A triple of norm at most 1e-9 is dropped and the next three draws take
     its place, so the draws are those of a loop that redraws each such edge.
     """
-    return _isotropic_rows(n, rng) if n <= PLAIN_MAX_N else _isotropic_array(n, rng)
-
-
-def _isotropic_rows(n: int, rng: random.Random) -> list[tuple[float, float, float]]:
     gauss, rows = rng.gauss, []
     while len(rows) < n:
         draws = [gauss(0.0, 1.0) for _ in range(3 * (n - len(rows)))]
@@ -124,29 +115,20 @@ def _isotropic_rows(n: int, rng: random.Random) -> list[tuple[float, float, floa
     return rows
 
 
-def _isotropic_array(n: int, rng: random.Random) -> np.ndarray:
-    draws = [rng.gauss(0.0, 1.0) for _ in range(3 * n)]
-    while True:
-        a = np.array(draws).reshape(-1, 3)
-        sq = a * a
-        norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
-        keep = norm > 1e-9
-        missing = n - int(keep.sum())
-        if not missing:
-            return a[keep] / norm[keep, None]
-        draws += [rng.gauss(0.0, 1.0) for _ in range(3 * missing)]
+def _snap(rows: list[tuple[float, float, float]]) -> Optional[list[tuple[int, int, int]]]:
+    """Integer edges on the 1/2^24 grid after closing and equalizing edges,
+    or None if an edge closes to exactly 0.
 
-
-def _snap_rows(rows: list[tuple[float, float, float]]) -> list[tuple[int, int, int]]:
-    """``_snap_array`` on rows of plain floats.
-
-    Every float operation is the array path's, in its order, so the integer
-    edges are the same bit for bit: max |r - 1| is read off the largest and
-    the least r, and ``round`` rounds half to even, as ``np.rint`` does. An
-    edge that closes to exactly 0, which the array path divides by 0, sends
-    the rows as drawn to the array path.
+    Alternates defect fold-in and renormalization until nearly equilateral,
+    in a fixed float operation order, so every polygon is reproducible bit
+    for bit: the defect is the left-fold sum of the edges from the first,
+    divided by n once; each squared norm is x*x + y*y + z*z; max |r - 1| is
+    read off the largest and the least r; ``round`` rounds half to even.
+    An edge of norm 0 ends the draw, so the caller draws again: numpy
+    sweeps, the reference for these rows, turn it into NaNs and so into a
+    polygon with all vertices equal, which is rejected too.
     """
-    n, drawn = len(rows), rows
+    n = len(rows)
     try:
         for _ in range(200):
             sx, sy, sz = rows[0]
@@ -168,28 +150,8 @@ def _snap_rows(rows: list[tuple[float, float, float]]) -> list[tuple[int, int, i
             if hi - 1.0 < 1e-12 and 1.0 - lo < 1e-12:
                 break
     except ZeroDivisionError:
-        return _snap_array(np.array(drawn))
+        return None
     return [(round(x * _GRID), round(y * _GRID), round(z * _GRID)) for x, y, z in rows]
-
-
-def _snap_array(edges: np.ndarray) -> list[list[int]]:
-    """Integer edges on the 1/2^24 grid after closing and equalizing edges.
-
-    Alternates defect fold-in and renormalization until nearly equilateral,
-    in place and in a fixed float operation order: the defect is the
-    left-fold sum of the edges (a cumulative sum, not numpy's pairwise
-    reduction) and each squared norm is x*x + y*y + z*z, so every polygon
-    is reproducible bit for bit.
-    """
-    n = len(edges)
-    for _ in range(200):
-        edges -= edges.cumsum(axis=0)[-1] / n
-        sq = edges * edges
-        norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
-        edges /= norm[:, None]
-        if abs(norm - 1.0).max() < 1e-12:
-            break
-    return np.rint(edges * _GRID).astype(np.int64).tolist()
 
 
 def random_equilateral_polygon(
@@ -214,8 +176,9 @@ def random_equilateral_polygon(
     # of the vertices over den, so |v - centroid| <= radius in integers is:
     far_max, far_scale = (radius.numerator * n * den) ** 2, radius.denominator**2
     for _ in range(_MAX_TRIES):
-        edges = _isotropic_edges(n, rng)
-        snapped = _snap_rows(edges) if n <= PLAIN_MAX_N else _snap_array(edges)
+        snapped = _snap(_isotropic_edges(n, rng))
+        if snapped is None:
+            continue
         tx, ty, tz = (sum(col) for col in zip(*snapped))
         verts = [(0, 0, 0)]
         for sx, sy, sz in snapped[:-1]:

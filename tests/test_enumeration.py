@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 import random
 from fractions import Fraction
 from math import isqrt
@@ -359,8 +358,7 @@ def test_large_n_stays_within_the_block_bound():
 
 def _cells_record(prim):
     """Sign bits, first visit indices and witnesses of every row of ``_cells``."""
-    bits, witness = enumeration._cells(prim)
-    first = inspect.getclosurevars(witness).nonlocals["first"]
+    bits, first, witness = enumeration._cells(prim)
     return bits.tolist(), first.tolist(), [witness(i).v for i in range(len(bits))]
 
 

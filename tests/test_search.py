@@ -89,8 +89,8 @@ class TestSampler:
         assert h.hexdigest() == "b0a13f818a657b8fe54279b9116b1550a6885657ee14a39f08e53256389835c0"
 
     def test_large_draws_pinned(self, monkeypatch):
-        """As test_draws_pinned, for n = 33..64 (the array path), as recorded
-        before the plain-float path existed."""
+        """As test_draws_pinned, for n = 33..64, as recorded when numpy swept
+        these sizes."""
         draws = []
         isotropic = search_mod._isotropic_edges
 
@@ -127,19 +127,49 @@ class TestSampler:
             SearchConfig(n=10, target=3, samples=1, seed=0, confinement_radius=radius)
 
 
-def _path_stream(monkeypatch, plain_max_n, n, radius):
-    """Snapped edges, polygon (None if rejected) and rng state of 50 draws,
-    each one call of random_equilateral_polygon with one try."""
-    monkeypatch.setattr(search_mod, "PLAIN_MAX_N", plain_max_n)
-    monkeypatch.setattr(search_mod, "_MAX_TRIES", 1)
-    snapped = []
-    for name in ("_snap_rows", "_snap_array"):
-        def record(edges, snap=getattr(search_mod, name), name=name):
-            out = snap(edges)
-            snapped.append((name, [tuple(e) for e in out]))
-            return out
+def _reference_isotropic(n, rng):
+    """The numpy draw of n unit edges that the plain rows replace: n x 3."""
+    draws = [rng.gauss(0.0, 1.0) for _ in range(3 * n)]
+    while True:
+        a = np.array(draws).reshape(-1, 3)
+        sq = a * a
+        norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+        keep = norm > 1e-9
+        missing = n - int(keep.sum())
+        if not missing:
+            return a[keep] / norm[keep, None]
+        draws += [rng.gauss(0.0, 1.0) for _ in range(3 * missing)]
 
-        monkeypatch.setattr(search_mod, name, record)
+
+def _reference_snap(edges):
+    """The numpy closing sweeps and grid snap that the plain rows replace."""
+    edges, n = np.array(edges, dtype=float), len(edges)
+    with np.errstate(all="ignore"):  # an edge closing to 0 becomes NaNs
+        for _ in range(200):
+            edges -= edges.cumsum(axis=0)[-1] / n
+            sq = edges * edges
+            norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+            edges /= norm[:, None]
+            if abs(norm - 1.0).max() < 1e-12:
+                break
+        return [tuple(e) for e in np.rint(edges * (1 << 24)).astype(np.int64).tolist()]
+
+
+def _draw_stream(monkeypatch, reference, n, radius):
+    """Snapped edges, polygon (None if rejected) and rng state of 50 draws,
+    each one call of random_equilateral_polygon with one try, on the
+    sampler's plain rows or on the numpy reference."""
+    monkeypatch.setattr(search_mod, "_MAX_TRIES", 1)
+    snap = _reference_snap if reference else search_mod._snap
+    if reference:
+        monkeypatch.setattr(search_mod, "_isotropic_edges", _reference_isotropic)
+    snapped = []
+
+    def record(edges):
+        snapped.append(snap(edges))
+        return snapped[-1]
+
+    monkeypatch.setattr(search_mod, "_snap", record)
     rng = random.Random(f"paths:{radius}:{n}")
     out = []
     for _ in range(50):
@@ -165,38 +195,42 @@ class _ZeroTriples(random.Random):
         return value * 1e-10 if triple % 7 == 4 else value
 
 
-class TestSamplerPaths:
-    """The plain-float and the array path of the sampler draw the same polygons."""
+class TestSamplerAgainstNumpy:
+    """The plain-float rows draw the polygons of the numpy sweeps they replace."""
 
     @pytest.mark.parametrize("radius", ["1", "3/2", "5/2"])
-    def test_both_paths_agree(self, monkeypatch, radius):
+    def test_same_draws(self, monkeypatch, radius):
         for n in range(3, 65):
-            plain_snaps, plain = _path_stream(monkeypatch, 64, n, radius)
-            array_snaps, array = _path_stream(monkeypatch, 0, n, radius)
-            assert {name for name, _ in plain_snaps} == {"_snap_rows"}
-            assert {name for name, _ in array_snaps} == {"_snap_array"}
-            assert [e for _, e in plain_snaps] == [e for _, e in array_snaps], n
-            assert plain == array, n
-
-    def test_size_rule(self):
-        rng = random.Random(0)
-        assert isinstance(search_mod._isotropic_edges(search_mod.PLAIN_MAX_N, rng), list)
-        assert isinstance(search_mod._isotropic_edges(search_mod.PLAIN_MAX_N + 1, rng), np.ndarray)
+            plain = _draw_stream(monkeypatch, False, n, radius)
+            reference = _draw_stream(monkeypatch, True, n, radius)
+            assert len(plain[0]) == 50
+            assert plain == reference, n
 
     @pytest.mark.parametrize("n", [3, 10, 31, 32, 64])
     def test_tiny_triples_are_redrawn_alike(self, n):
-        plain_rng, array_rng = _ZeroTriples(n), _ZeroTriples(n)
-        rows = search_mod._isotropic_rows(n, plain_rng)
-        edges = search_mod._isotropic_array(n, array_rng)
-        assert plain_rng.calls == array_rng.calls > 3 * n
-        assert plain_rng.getstate() == array_rng.getstate()
+        plain_rng, reference_rng = _ZeroTriples(n), _ZeroTriples(n)
+        rows = search_mod._isotropic_edges(n, plain_rng)
+        edges = _reference_isotropic(n, reference_rng)
+        assert plain_rng.calls == reference_rng.calls > 3 * n
+        assert plain_rng.getstate() == reference_rng.getstate()
         assert rows == [tuple(e) for e in edges.tolist()]
-        assert search_mod._snap_rows(rows) == [tuple(e) for e in search_mod._snap_array(edges)]
+        assert search_mod._snap(rows) == _reference_snap(edges)
 
-    def test_edge_closing_to_zero_takes_the_array_path(self):
-        rows = [(1.0, 0.0, 0.0)] * 3
-        with np.errstate(all="ignore"):
-            assert search_mod._snap_rows(rows) == search_mod._snap_array(np.array(rows))
+    def test_edge_closing_to_zero_is_redrawn(self, monkeypatch):
+        """numpy turned such an edge into NaNs, and so into equal vertices."""
+        rows = [(1.0, 0.0, 0.0)] * 6
+        assert search_mod._snap(rows) is None
+        assert len(set(_reference_snap(rows))) == 1
+        expected = random_equilateral_polygon(6, "3/2", random.Random(5))
+        isotropic, calls = search_mod._isotropic_edges, []
+
+        def first_closes_to_zero(n, rng):
+            calls.append(n)
+            return rows if len(calls) == 1 else isotropic(n, rng)
+
+        monkeypatch.setattr(search_mod, "_isotropic_edges", first_closes_to_zero)
+        assert random_equilateral_polygon(6, "3/2", random.Random(5)) == expected
+        assert len(calls) > 1
 
 
 class TestConfig:
