@@ -19,7 +19,7 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .linalg import ParseError, SuperbridgeError, read_utf8
 
@@ -231,22 +231,3 @@ def _parse_metadata(fh, path) -> list[KnotRecord]:
         )
     return out
 
-
-def dump_metadata_csv(records: Iterable[KnotRecord]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(METADATA_COLUMNS)
-    for r in records:
-        w.writerow(
-            [
-                r.name,
-                "" if r.bridge_index is None else r.bridge_index,
-                "" if r.stick_upper is None else r.stick_upper,
-                "1" if r.is_trivial else "0",
-                "1" if r.jeon_jin_exception else "0",
-                "" if r.certified_upper is None else r.certified_upper,
-                "" if r.known_exact is None else r.known_exact,
-                r.citation,
-            ]
-        )
-    return buf.getvalue()

@@ -7,7 +7,9 @@ pattern +,+,-,+,-,...,+,- (n odd). Each such pattern gives a 3 x n matrix;
 a nonzero nonnegative null vector of that matrix certifies that the
 pattern is unrealizable. For even n a single vector u suffices; for odd n
 a bundle with one vector per cyclic shift certifies the bound
-sb <= floor(n/2) - 1.
+sb <= floor(n/2) - 1. One sign rule, ``shift_sign``, signs the columns of
+every system, and verification builds them straight from the polygon's
+integer edge table.
 
 Published bundle layout. Shipped certificate matrices list one null vector
 per column, generated by rotating the edge list rather than shifting the
@@ -27,13 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .geometry import EdgeVectors, PolygonalKnot, edge_vectors, integer_edges
-from .gordan import (
-    GordanMatrix,
-    NullCombination,
-    SeparatingDirection,
-    gordan_decide,
-    null_vector_failure,
-)
+from .gordan import GordanMatrix, SeparatingDirection, gordan_decide, null_vector_failure
 from .linalg import SuperbridgeError, neg3, primitive_vector
 
 
@@ -128,15 +124,30 @@ class VerifiedBound:
         return f"sb({self.knot}) <= {self.bound}"
 
 
-def _base_flip(n: int, d: int) -> bool:
-    # 0-based mask positions carrying a minus sign in the reference pattern
-    # +,+,-,+,-,...,+,-  (exactly one cyclically adjacent +,+ pair).
-    return d >= 2 and d % 2 == 0
-
-
 def shift_sign(n: int, j: int, i: int) -> int:
-    """Sign of 0-based column i in the shifted system E_j (j in 1..n)."""
-    return -1 if _base_flip(n, (i + j) % n) else 1
+    """Sign of 0-based column i in system E_j: minus when (i + j - 1) mod n is odd.
+
+    The one sign rule of every system. For even n, E_1 is the alternating
+    system +,-,...,+,-; for odd n, E_1..E_n (j in 1..n) are the cyclic
+    shifts of +,-,+,...,-,+, whose one cyclically adjacent +,+ pair is at
+    positions n-1, 0.
+    """
+    return -1 if (i + j - 1) % n % 2 else 1
+
+
+def _signed_systems(edges: Sequence[Sequence]) -> list[tuple[tuple, ...]]:
+    """Signed columns of every system on ``edges``, by the parity of n.
+
+    Even n: the alternating system alone. Odd n: E_1..E_n, each E_j the
+    signs of E_1 shifted by j - 1. Each edge is negated once.
+    """
+    n = len(edges)
+    signed = (edges, tuple(neg3(e) for e in edges))
+    flips = [shift_sign(n, 1, i) < 0 for i in range(n)]
+    return [
+        tuple(signed[f][i] for i, f in enumerate(flips[s:] + flips[:s]))
+        for s in (range(n) if n % 2 else (0,))
+    ]
 
 
 def build_even_system(e: EdgeVectors) -> EvenSystem:
@@ -144,10 +155,7 @@ def build_even_system(e: EdgeVectors) -> EvenSystem:
     n = len(e)
     if n % 2 != 0:
         raise OddEdgeCount(f"edge count {n} is odd")
-    cols = tuple(
-        e.edges[i] if i % 2 == 0 else neg3(e.edges[i]) for i in range(n)
-    )
-    return EvenSystem(matrix=GordanMatrix(columns=cols))
+    return EvenSystem(matrix=GordanMatrix(columns=_signed_systems(e.edges)[0]))
 
 
 def build_odd_systems(e: EdgeVectors) -> OddSystem:
@@ -155,25 +163,7 @@ def build_odd_systems(e: EdgeVectors) -> OddSystem:
     n = len(e)
     if n % 2 != 1:
         raise EvenEdgeCount(f"edge count {n} is even")
-    if n < 3:
-        raise SuperbridgeError("need at least 3 edges")
-    systems = []
-    for j in range(1, n + 1):
-        cols = tuple(
-            e.edges[i] if shift_sign(n, j, i) > 0 else neg3(e.edges[i])
-            for i in range(n)
-        )
-        systems.append(GordanMatrix(columns=cols))
-    return OddSystem(systems=tuple(systems))
-
-
-def _integer_edge_vectors(p: PolygonalKnot) -> EdgeVectors:
-    """Edges of p scaled to integers by one common positive factor.
-
-    A common factor preserves every null-vector equation of the signed
-    systems; per-edge factors would not.
-    """
-    return EdgeVectors(edges=integer_edges(p))
+    return OddSystem(systems=tuple(GordanMatrix(columns=c) for c in _signed_systems(e.edges)))
 
 
 def verify_even_certificate(p: PolygonalKnot, u: Sequence) -> VerifiedBound:
@@ -183,8 +173,7 @@ def verify_even_certificate(p: PolygonalKnot, u: Sequence) -> VerifiedBound:
         raise OddEdgeCount(f"{p.name}: edge count {n} is odd")
     if len(u) != n:
         raise InvalidCertificate("dimension", f"vector length {len(u)} != {n}")
-    system = build_even_system(_integer_edge_vectors(p))
-    failure = null_vector_failure(system.matrix.columns, primitive_vector(u))
+    failure = null_vector_failure(_signed_systems(integer_edges(p))[0], primitive_vector(u))
     if failure is not None:
         raise InvalidCertificate(failure, f"{p.name}: even-system certificate rejected")
     return VerifiedBound(knot=p.name, n=n, bound=n // 2 - 1)
@@ -218,7 +207,7 @@ def verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBo
         raise InvalidCertificate(
             "dimension", f"{p.name}: bundle is {bundle.size}x{bundle.size}, edges {n}"
         )
-    systems = [m.columns for m in build_odd_systems(_integer_edge_vectors(p)).systems]
+    systems = _signed_systems(integer_edges(p))
     columns = [primitive_vector(bundle.column(c)) for c in range(n)]
 
     def failure(j: int, c: int, r: int) -> Optional[str]:
@@ -292,26 +281,18 @@ def find_certificate(p: PolygonalKnot) -> FindResult:
     shift is unrealizable, otherwise the realizable shifts and their
     separating directions are returned.
     """
-    e = edge_vectors(p)
     n = p.n
-    if n % 2 == 0:
-        cert = gordan_decide(build_even_system(e).matrix)
-        if isinstance(cert, NullCombination):
-            return FindResult(bundle=CertificateBundle(vector=cert.u))
-        return FindResult(bundle=None, evidence=(ShiftEvidence(0, cert.v),))
-    odd = build_odd_systems(e)
     vectors = []
     evidence = []
-    for j in range(1, n + 1):
-        cert = gordan_decide(odd.systems[j - 1])
+    for j, columns in enumerate(_signed_systems(edge_vectors(p).edges), start=1):
+        cert = gordan_decide(GordanMatrix(columns=columns))
         if isinstance(cert, SeparatingDirection):
-            evidence.append(ShiftEvidence(j, cert.v))
+            evidence.append(ShiftEvidence(j if n % 2 else 0, cert.v))
         else:
             vectors.append(cert.u)
     if evidence:
         return FindResult(bundle=None, evidence=tuple(evidence))
+    if n % 2 == 0:
+        return FindResult(bundle=CertificateBundle(vector=vectors[0]))
     # Direct layout: column c is the null vector of system j = c + 1.
-    matrix = tuple(
-        tuple(vectors[c][r] for c in range(n)) for r in range(n)
-    )
-    return FindResult(bundle=CertificateBundle(matrix=matrix))
+    return FindResult(bundle=CertificateBundle(matrix=tuple(zip(*vectors))))

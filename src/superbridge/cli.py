@@ -20,7 +20,7 @@ from . import bounds, corpus
 from .certificates import InvalidCertificate, find_certificate
 from .enumeration import jin_upper_bound, superbridge_census
 from .geometry import normalize_pose, quantize
-from .linalg import SuperbridgeError, format_rational
+from .linalg import SuperbridgeError, format_rational, int_text
 from .search import SearchConfig, search
 
 _JSON_SCHEMA = 1
@@ -105,10 +105,10 @@ def _cmd_find(args) -> int:
     if found.found:
         bundle = found.bundle
         if bundle.vector is not None:
-            body = "u: " + " ".join(str(x) for x in bundle.vector)
+            body = "u: " + " ".join(map(int_text, bundle.vector))
             payload = {"u": list(bundle.vector)}
         else:
-            body = "U:\n" + "\n".join(" ".join(str(x) for x in row) for row in bundle.matrix)
+            body = "U:\n" + "\n".join(" ".join(map(int_text, row)) for row in bundle.matrix)
             payload = {"U": [list(r) for r in bundle.matrix]}
         bound = knot.n // 2 - 1
         _emit(
@@ -123,7 +123,7 @@ def _cmd_find(args) -> int:
     text_lines = [f"{knot.name}: no certificate; bound floor(n/2) = {jin_upper_bound(knot)} is attained"]
     for ev in found.evidence:
         text_lines.append(
-            f"  realizable shift {ev.system}: separating direction {' '.join(map(str, ev.direction))}"
+            f"  realizable shift {ev.system}: separating direction {' '.join(map(int_text, ev.direction))}"
         )
     _emit(
         {"knot": knot.name, "n": knot.n, "claim": None, "verified": False, "evidence": evid},
@@ -202,13 +202,12 @@ def _cmd_normalize(args) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             knot = quantize(knot, digits=args.digits)
+    if args.pose and args.digits is None:
+        out = [" ".join(f"{float(c):.6f}" for c in v) for v in knot.vertices]
+    else:
+        out = [" ".join(map(format_rational, v)) for v in knot.vertices]
+    if args.digits is not None:
         print("# note: knot type preservation after rounding is not verified", file=sys.stderr)
-    out = []
-    for v in knot.vertices:
-        if args.pose and args.digits is None:
-            out.append(" ".join(f"{float(c):.6f}" for c in v))
-        else:
-            out.append(" ".join(format_rational(c) for c in v))
     print("\n".join(out))
     return 0
 

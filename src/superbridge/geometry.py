@@ -266,7 +266,12 @@ def quantize(p: PolygonalKnot, digits: int = 3) -> PolygonalKnot:
     return PolygonalKnot(name=p.name, vertices=rounded, provenance=p.provenance)
 
 
-def normalize_pose(p: PolygonalKnot, tolerance: float = 1e-9) -> PolygonalKnot:
+#: Relative size below which ``normalize_pose`` calls the first three
+#: vertices collinear.
+POSE_TOLERANCE = 1e-9
+
+
+def normalize_pose(p: PolygonalKnot) -> PolygonalKnot:
     """Rigid motion into the standard pose, in floating point.
 
     The first vertex goes to the origin, the second onto the positive
@@ -281,7 +286,7 @@ def normalize_pose(p: PolygonalKnot, tolerance: float = 1e-9) -> PolygonalKnot:
     zt = cross3(a, b)
     norm_a = math.sqrt(dot3(a, a))
     norm_z = math.sqrt(dot3(zt, zt))
-    if norm_z <= tolerance * max(norm_a, 1.0) ** 2:
+    if norm_z <= POSE_TOLERANCE * max(norm_a, 1.0) ** 2:
         raise CollinearPrefix(f"{p.name}: first three vertices are collinear")
     xh = tuple(c / norm_a for c in a)
     zh = tuple(c / norm_z for c in zt)

@@ -8,6 +8,7 @@ step every input file goes through.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -96,8 +97,23 @@ def primitive_vector(v: Iterable[Rational]) -> tuple[int, ...]:
     return tuple(x // g for x in ints) if g > 1 else ints
 
 
+def int_text(x: int) -> str:
+    """Decimal text of x; SuperbridgeError past Python's digit limit.
+
+    The limit (``sys.get_int_max_str_digits``) also caps the size of
+    input numbers, so it is left in place.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        raise SuperbridgeError(
+            f"an output integer exceeds Python's {sys.get_int_max_str_digits()}-digit "
+            "limit on integer-to-string conversion"
+        ) from None
+
+
 def format_rational(x: Fraction | int) -> str:
     f = Fraction(x)
     if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+        return int_text(f.numerator)
+    return f"{int_text(f.numerator)}/{int_text(f.denominator)}"

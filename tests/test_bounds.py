@@ -1,3 +1,4 @@
+import csv
 import io
 
 import pytest
@@ -17,7 +18,6 @@ from superbridge.bounds import (
     METADATA_COLUMNS,
     InconsistentRecord,
     NoUpperBoundAvailable,
-    dump_metadata_csv,
     knot_sort_key,
 )
 from superbridge.corpus import data_root
@@ -26,6 +26,27 @@ from superbridge.linalg import ParseError, SuperbridgeError
 
 def _meta(name):
     return data_root() / "metadata" / name
+
+
+def dump_metadata_csv(records) -> str:
+    """The metadata CSV that ``load_metadata_csv`` reads back as ``records``."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(METADATA_COLUMNS)
+    for r in records:
+        w.writerow(
+            [
+                r.name,
+                "" if r.bridge_index is None else r.bridge_index,
+                "" if r.stick_upper is None else r.stick_upper,
+                "1" if r.is_trivial else "0",
+                "1" if r.jeon_jin_exception else "0",
+                "" if r.certified_upper is None else r.certified_upper,
+                "" if r.known_exact is None else r.known_exact,
+                r.citation,
+            ]
+        )
+    return buf.getvalue()
 
 
 class TestLowerBound:

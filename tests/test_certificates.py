@@ -438,3 +438,47 @@ class TestBundleType:
         b = CertificateBundle(matrix=((1, 2), (3, 4)))
         assert b.column(0) == (1, 3)
         assert b.column(1) == (2, 4)
+
+
+def _outcome(p: PolygonalKnot, bundle: CertificateBundle) -> list:
+    """What ``verify_bundle`` says about a bundle: the bound or the diagnosis."""
+    try:
+        vb = verify_bundle(p, bundle)
+    except InvalidCertificate as exc:
+        return ["rejected", exc.check, str(exc), exc.column, list(exc.systems)]
+    return ["verified", vb.knot, vb.n, vb.bound, [list(a) for a in vb.assignment]]
+
+
+def _single_entry_tampers(bundle: CertificateBundle, delta: int):
+    if bundle.vector is not None:
+        for i in range(len(bundle.vector)):
+            vector = list(bundle.vector)
+            vector[i] += delta
+            yield CertificateBundle(vector=tuple(vector))
+        return
+    for r in range(bundle.size):
+        for c in range(bundle.size):
+            matrix = [list(row) for row in bundle.matrix]
+            matrix[r][c] += delta
+            yield CertificateBundle(matrix=tuple(map(tuple, matrix)))
+
+
+# sha256 of every verdict and diagnostic on the shipped certificates: each
+# one as shipped, then every single-entry +1, -1 and +7 tamper of it.
+TAMPER_DIGEST = "9585f8d547be2ee0047c781952a74f0ed6b9d06ac684576f04cf5ddf43f510ab"
+
+
+def test_tamper_verdicts_pinned(corpus):
+    outcomes = []
+    for name, entry in sorted(corpus.items()):
+        if entry.certificate is None:
+            continue
+        outcomes.append([name, _outcome(entry.knot, entry.certificate)])
+        for delta in (1, -1, 7):
+            outcomes.extend(
+                [name, delta, _outcome(entry.knot, tampered)]
+                for tampered in _single_entry_tampers(entry.certificate, delta)
+            )
+    assert len(outcomes) == 6254
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == TAMPER_DIGEST

@@ -227,6 +227,13 @@ def test_jobs_flag_is_a_usage_error(argv):
 _CERT = "knot: sq\nparity: even\nvertices:\n0 0 0\n{} 0 0\n1 1 0\n0 1 0\nu: 1 0 1 0\n"
 _HEADER = "name,bridge_index,stick_upper,trivial_flag,jeon_jin_flag,certified_upper,known_exact,citation\n"
 _SEARCH = ["search", "--edges", "6", "--target", "2", "--samples", "1"]
+# A valid 5-gon with 4000-digit coordinates; its witness and its realizability
+# directions have more digits than Python converts to text.
+_B = 10**3999 + 7
+_HUGE = "".join(
+    f"{x} {y} {z}\n"
+    for x, y, z in [(0, 0, 0), (_B, 2, 2 * _B), (_B, 2, 3), (2, _B + 1, _B), (_B, _B + 1, 0)]
+).encode()
 
 
 #: file name -> (file content or None, argv before the path, expected "<path>:<line>: " suffix)
@@ -237,6 +244,9 @@ _BAD_INPUTS = {
     "latin1.txt": (b"0 0 0\n1 0 0\n0 1 0 # caf\xe9\n", ["exact"], ":3: "),
     "int.csv": ((_HEADER + "3_1,2,six,0,1,,,x\n").encode(), ["table", "--metadata"], ":2: "),
     "latin1.csv": (_HEADER.encode() + b"3_1,2,6,0,1,,,caf\xe9\n", ["table", "--metadata"], ":2: "),
+    "huge_exact.txt": (_HUGE, ["exact"], ""),
+    "huge_find.txt": (_HUGE, ["find"], ""),
+    "huge_digits.txt": (b"0 0 0\n1/3 0 0\n0 1/3 0\n0 0 1/3\n", ["normalize", "--digits", "5000"], ""),
     "radius_word": (None, [*_SEARCH, "--radius", "abc", "--out"], ""),
     "radius_zero": (None, [*_SEARCH, "--radius", "0", "--out"], ""),
     "radius_small": (None, [*_SEARCH, "--radius", "1/100", "--out"], ""),
@@ -251,7 +261,7 @@ _BAD_INPUTS = {
 
 @pytest.mark.parametrize("name", sorted(_BAD_INPUTS))
 def test_bad_input_is_a_typed_error(tmp_path, name, package_env):
-    """Exit code 1 and one error line, never a traceback."""
+    """Exit code 1, nothing on stdout and one error line, never a traceback."""
     content, argv, where = _BAD_INPUTS[name]
     path = tmp_path / name
     if content is not None:
@@ -261,6 +271,7 @@ def test_bad_input_is_a_typed_error(tmp_path, name, package_env):
         env=package_env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
