@@ -8,8 +8,9 @@ a nonzero nonnegative null vector of that matrix certifies that the
 pattern is unrealizable. For even n a single vector u suffices; for odd n
 a bundle with one vector per cyclic shift certifies the bound
 sb <= floor(n/2) - 1. One sign rule, ``shift_sign``, signs the columns of
-every system, and verification builds them straight from the polygon's
-integer edge table.
+every system, and both verification and certificate search build them
+straight from the polygon's integer edge table; the search reads the
+table's scale once per polygon, not once per system.
 
 Published bundle layout. Shipped certificate matrices list one null vector
 per column, generated by rotating the edge list rather than shifting the
@@ -26,10 +27,11 @@ candidates, direct first, and verifies each exactly; any other arrangement
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import EdgeVectors, PolygonalKnot, edge_vectors, integer_edges
-from .gordan import GordanMatrix, SeparatingDirection, gordan_decide, null_vector_failure
+from .geometry import EdgeVectors, PolygonalKnot, integer_edges
+from .gordan import GordanMatrix, SeparatingDirection, _decide, null_vector_failure
 from .linalg import SuperbridgeError, neg3, primitive_vector
 
 
@@ -280,12 +282,21 @@ def find_certificate(p: PolygonalKnot) -> FindResult:
     attained. Odd n: decide all n shifts; the bundle exists only if every
     shift is unrealizable, otherwise the realizable shifts and their
     separating directions are returned.
+
+    Every system is decided on the signed integer edge table B with the
+    polygon's one scale (edges = scale * B), read once from edge 0.
+    Negating columns changes neither the table's gcd nor that ratio, so each
+    system is read exactly as ``gordan_decide`` reads its Fraction matrix,
+    and pivots the same.
     """
     n = p.n
+    table = integer_edges(p)
+    d = next(d for d in range(3) if table[0][d])
+    scale = Fraction(p.vertices[1][d] - p.vertices[0][d]) / table[0][d]
     vectors = []
     evidence = []
-    for j, columns in enumerate(_signed_systems(edge_vectors(p).edges), start=1):
-        cert = gordan_decide(GordanMatrix(columns=columns))
+    for j, columns in enumerate(_signed_systems(table), start=1):
+        cert = _decide(columns, scale.numerator, scale.denominator)
         if isinstance(cert, SeparatingDirection):
             evidence.append(ShiftEvidence(j if n % 2 else 0, cert.v))
         else:

@@ -10,6 +10,7 @@ machine-readable output (schema 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -212,7 +213,13 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sb`` parser, built on the first call and shared by every later one.
+
+    ``parse_args`` leaves the parser unchanged, so one instance serves every
+    ``main`` call of a process; importing the package does not build it.
+    """
     parser = argparse.ArgumentParser(
         prog="sb",
         description="Exact superbridge numbers and certificates for polygonal knots.",

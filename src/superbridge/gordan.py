@@ -112,7 +112,15 @@ def gordan_decide(a: GordanMatrix) -> Certificate:
     Deterministic: the simplex uses Bland's rule throughout. The recheck
     of the certificate is an explicit raise, so ``python -O`` keeps it.
     """
-    cols, p, q = _integer_columns(a)
+    return _decide(*_integer_columns(a))
+
+
+def _decide(cols: tuple[tuple[int, ...], ...], p: int, q: int) -> Certificate:
+    """``gordan_decide`` on the matrix A = (p/q) B read as B = ``cols``.
+
+    B must be coprime integer columns and p/q the scale ``_integer_columns``
+    gives A; the pivots depend on p/q, not only on B. Both rechecks run on B.
+    """
     feasible, u, y = _phase_one((cols, p, q))
     if feasible:
         cert_u = primitive_vector(u)

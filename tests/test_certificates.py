@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,8 @@ from superbridge import (
     build_odd_systems,
     edge_vectors,
     find_certificate,
+    quantize,
+    random_equilateral_polygon,
     verify_bundle,
     verify_even_certificate,
     verify_odd_bundle,
@@ -31,6 +35,7 @@ from superbridge.corpus import (
     load_certificate_document,
     save_certificate_document,
 )
+from superbridge.geometry import KnotTypePreservationWarning
 
 
 class TestEvenSystem:
@@ -385,6 +390,25 @@ FIND_DIGESTS = {
 
 def test_find_certificate_pinned_on_every_realization(corpus):
     assert {name: _find_digest(e.knot) for name, e in corpus.items()} == FIND_DIGESTS
+
+
+# sha256 of repr(find_certificate(p)) over three sets, in order: one sampler
+# polygon (radius 3, raw 2^24-grid rationals) for each n = 3..31, the same
+# polygons quantized to 3 digits, then the 22 realizations by name. Recorded
+# while every system was still decided from Fraction edge vectors.
+FIND_REPR_DIGEST = "11ef9a318ab5802df2fbc2d8c6f9f7f2601257237835ad9f815c4fcc9ac7802a"
+
+
+def test_find_certificate_pinned_on_sampler_polygons(corpus):
+    raw = [random_equilateral_polygon(n, 3, random.Random(f"find:{n}")) for n in range(3, 32)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KnotTypePreservationWarning)
+        quantized = [quantize(p, digits=3) for p in raw]
+    knots = raw + quantized + [corpus[name].knot for name in sorted(corpus)]
+    h = hashlib.sha256()
+    for p in knots:
+        h.update(repr(find_certificate(p)).encode())
+    assert h.hexdigest() == FIND_REPR_DIGEST
 
 
 class TestSoundnessLinks:

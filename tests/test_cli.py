@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from superbridge.cli import main
+from superbridge.cli import build_parser, main
 from superbridge.corpus import data_root
 
 
@@ -207,6 +207,37 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    """One process's ``main`` calls share a parser; no parsed value may leak
+    from one call into the next (a sticky ``--json``, say), in any order.
+    Each call must print what it prints on a freshly built parser."""
+    knot = _data("realizations/9_22.txt")
+    sequence = [
+        ["exact", knot, "--json"],
+        ["exact", knot],
+        ["exact", "--json"],
+        ["find", knot, "--json"],
+        ["table", "--metadata", _data("metadata/rolfsen.csv"), "--format", "csv"],
+        ["verify", _data("certificates/9_22.cert")],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    fresh = {}
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh[tuple(argv)] = run(argv)
+    assert [fresh[tuple(argv)][0] for argv in sequence] == [0, 0, 2, 0, 0, 0]
+    for order in (sequence, sequence, sequence[::-1]):
+        for argv in order:
+            assert run(argv) == fresh[tuple(argv)], argv
 
 
 @pytest.mark.parametrize(
