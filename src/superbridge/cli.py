@@ -10,6 +10,7 @@ machine-readable output (schema 1).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -106,16 +107,14 @@ def _cmd_find(args) -> int:
     if found.found:
         bundle = found.bundle
         if bundle.vector is not None:
-            body = "u: " + " ".join(map(int_text, bundle.vector))
             payload = {"u": list(bundle.vector)}
         else:
-            body = "U:\n" + "\n".join(" ".join(map(int_text, row)) for row in bundle.matrix)
             payload = {"U": [list(r) for r in bundle.matrix]}
         bound = knot.n // 2 - 1
         _emit(
             {"knot": knot.name, "n": knot.n, "claim": f"sb <= {bound}", "verified": True, **payload},
             args.json,
-            f"{knot.name}: certificate for sb <= {bound}\n{body}",
+            "\n".join([f"{knot.name}: certificate for sb <= {bound}", *corpus.bundle_lines(bundle)]),
         )
         return 0
     evid = [
@@ -165,11 +164,7 @@ def _cmd_search(args) -> int:
             entry["certificate"] = cert_file.name
         manifest.append(entry)
         print(f"candidate {cand.knot.name}: exact sb = {cand.exact_sb}")
-    stats = {
-        "generated": run.stats.generated,
-        "screened_out": run.stats.screened_out,
-        "confirmed": run.stats.confirmed,
-    }
+    stats = dataclasses.asdict(run.stats)
     (out_dir / "manifest.json").write_text(
         json.dumps({"schema": _JSON_SCHEMA, "config": {
             "n": cfg.n, "target": cfg.target, "samples": cfg.samples,
@@ -206,7 +201,7 @@ def _cmd_normalize(args) -> int:
     if args.pose and args.digits is None:
         out = [" ".join(f"{float(c):.6f}" for c in v) for v in knot.vertices]
     else:
-        out = [" ".join(map(format_rational, v)) for v in knot.vertices]
+        out = [corpus.vertex_line(v) for v in knot.vertices]
     if args.digits is not None:
         print("# note: knot type preservation after rounding is not verified", file=sys.stderr)
     print("\n".join(out))

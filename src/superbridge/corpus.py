@@ -1,12 +1,16 @@
 """File formats and the shipped corpus of certified realizations.
 
+This module is the one reader and writer of each text format; the CLI
+prints vertices and bundles through ``vertex_line`` and ``bundle_lines``.
+
 Coordinate files: UTF-8 text, one vertex per line as three whitespace
 separated integers or rationals ``p/q``; ``#`` starts a comment; vertex
 order defines the cycle.
 
 Certificate files: a self-contained document with the knot name, vertex
 list, parity, and either a single line ``u: <integers>`` (even edge
-count) or ``U:`` followed by n rows of n integers (odd edge count).
+count) or ``U:`` followed by n rows of n integers (odd edge count). The
+document ends at its bundle: any content line after it is a ParseError.
 
 The shipped corpus contains 22 integer-coordinate realizations: twenty
 carry a published null-vector certificate, and two (11n_72 and 12n_553,
@@ -21,10 +25,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .certificates import CertificateBundle, VerifiedBound, verify_bundle
+from .certificates import CertificateBundle, verify_bundle
 from .enumeration import superbridge_number
 from .geometry import DegeneratePolygon, PolygonalKnot
-from .linalg import ParseError, SuperbridgeError, format_rational, rational, read_utf8
+from .linalg import ParseError, SuperbridgeError, format_rational, int_text, rational, read_utf8
 
 
 def _content_lines(path):
@@ -45,6 +49,17 @@ def _vertex_row(path, line_no: int, line: str) -> tuple:
         raise ParseError(path, line_no, f"bad coordinate: {exc}") from exc
 
 
+def _int_row(path, line_no: int, text: str, n: int, what: str) -> tuple[int, ...]:
+    """The n integers of a ``u:`` line or a ``U:`` row."""
+    parts = text.split()
+    if len(parts) != n:
+        raise ParseError(path, line_no, f"{what} has {len(parts)} entries, expected {n}")
+    try:
+        return tuple(int(tok) for tok in parts)
+    except ValueError as exc:
+        raise ParseError(path, line_no, f"bad integer: {exc}") from exc
+
+
 def load_realization(path) -> PolygonalKnot:
     """Parse a coordinate file; the knot name is the file stem."""
     rows = [_vertex_row(path, line_no, line) for line_no, line in _content_lines(path)]
@@ -53,10 +68,21 @@ def load_realization(path) -> PolygonalKnot:
     return PolygonalKnot.from_coordinates(Path(path).stem, rows)
 
 
+def vertex_line(v) -> str:
+    """One vertex as a line of a coordinate or certificate file."""
+    return " ".join(map(format_rational, v))
+
+
+def bundle_lines(bundle: CertificateBundle) -> list[str]:
+    """The bundle section of a certificate document: the ``u:`` line, or
+    ``U:`` and its n rows."""
+    if bundle.vector is not None:
+        return ["u: " + " ".join(map(int_text, bundle.vector))]
+    return ["U:", *(" ".join(map(int_text, row)) for row in bundle.matrix)]
+
+
 def save_realization(knot: PolygonalKnot, path) -> None:
-    lines = [f"# {knot.name}: {knot.n}-vertex closed polygon"]
-    for v in knot.vertices:
-        lines.append(" ".join(format_rational(c) for c in v))
+    lines = [f"# {knot.name}: {knot.n}-vertex closed polygon", *map(vertex_line, knot.vertices)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -103,34 +129,22 @@ def load_certificate_document(path) -> CertificateDocument:
     if pos >= len(lines):
         raise ParseError(path, lines[-1][0], "missing 'u:' or 'U:' section")
     line_no, line = lines[pos]
+    pos += 1
     if parity == "even":
         if not line.startswith("u:"):
             raise ParseError(path, line_no, "even parity requires a 'u:' line")
-        entries = line[2:].split()
-        if len(entries) != n:
-            raise ParseError(path, line_no, f"u has {len(entries)} entries, expected {n}")
-        try:
-            vector = tuple(int(tok) for tok in entries)
-        except ValueError as exc:
-            raise ParseError(path, line_no, f"bad integer: {exc}") from exc
-        return CertificateDocument(knot=knot, bundle=CertificateBundle(vector=vector))
-    if not line.startswith("U:"):
-        raise ParseError(path, line_no, "odd parity requires a 'U:' section")
-    pos += 1
-    matrix = []
-    while pos < len(lines) and len(matrix) < n:
-        line_no, line = lines[pos]
-        parts = line.split()
-        if len(parts) != n:
-            raise ParseError(path, line_no, f"matrix row has {len(parts)} entries, expected {n}")
-        try:
-            matrix.append(tuple(int(tok) for tok in parts))
-        except ValueError as exc:
-            raise ParseError(path, line_no, f"bad integer: {exc}") from exc
-        pos += 1
-    if len(matrix) != n:
-        raise ParseError(path, lines[-1][0], f"matrix has {len(matrix)} rows, expected {n}")
-    return CertificateDocument(knot=knot, bundle=CertificateBundle(matrix=tuple(matrix)))
+        bundle = CertificateBundle(vector=_int_row(path, line_no, line[2:], n, "u"))
+    else:
+        if not line.startswith("U:"):
+            raise ParseError(path, line_no, "odd parity requires a 'U:' section")
+        matrix = tuple(_int_row(path, no, row, n, "matrix row") for no, row in lines[pos : pos + n])
+        if len(matrix) != n:
+            raise ParseError(path, lines[-1][0], f"matrix has {len(matrix)} rows, expected {n}")
+        bundle = CertificateBundle(matrix=matrix)
+        pos += n
+    if pos < len(lines):
+        raise ParseError(path, lines[pos][0], "unexpected content after the bundle")
+    return CertificateDocument(knot=knot, bundle=bundle)
 
 
 def load_certificate(path) -> CertificateBundle:
@@ -140,16 +154,9 @@ def load_certificate(path) -> CertificateBundle:
 
 def save_certificate_document(doc: CertificateDocument, path) -> None:
     knot = doc.knot
-    lines = [f"knot: {knot.name}", f"parity: {'even' if knot.n % 2 == 0 else 'odd'}", "vertices:"]
-    for v in knot.vertices:
-        lines.append(" ".join(format_rational(c) for c in v))
-    if doc.bundle.vector is not None:
-        lines.append("u: " + " ".join(str(x) for x in doc.bundle.vector))
-    else:
-        lines.append("U:")
-        for row in doc.bundle.matrix:
-            lines.append(" ".join(str(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    parity = "even" if knot.n % 2 == 0 else "odd"
+    lines = [f"knot: {knot.name}", f"parity: {parity}", "vertices:", *map(vertex_line, knot.vertices)]
+    Path(path).write_text("\n".join(lines + bundle_lines(doc.bundle)) + "\n", encoding="utf-8")
 
 
 @dataclass(frozen=True)
@@ -222,22 +229,15 @@ def verify_entry(entry: CorpusEntry) -> EntryReport:
     the value equals the edge-count bound, so no certificate can exist).
     """
     result = superbridge_number(entry.knot)
+    ok, bound = result.value == entry.claimed_sb, None
     if entry.certificate is not None:
-        vb: VerifiedBound = verify_bundle(entry.knot, entry.certificate)
-        ok = vb.bound == entry.claimed_sb == result.value
-        return EntryReport(
-            name=entry.knot.name,
-            claimed_sb=entry.claimed_sb,
-            verified=ok,
-            method="certificate-cross-check",
-            bound=vb.bound,
-            exact_value=result.value,
-        )
-    ok = result.value == entry.claimed_sb
+        bound = verify_bundle(entry.knot, entry.certificate).bound
+        ok = ok and bound == entry.claimed_sb
     return EntryReport(
         name=entry.knot.name,
         claimed_sb=entry.claimed_sb,
         verified=ok,
-        method="enumeration",
+        method="enumeration" if entry.certificate is None else "certificate-cross-check",
+        bound=bound,
         exact_value=result.value,
     )

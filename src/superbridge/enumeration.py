@@ -228,8 +228,6 @@ def superbridge_census(p: PolygonalKnot) -> tuple[SuperbridgeResult, dict[int, i
     bits, _, witness = _cells(_primitive_rows(p))
     descents = (bits & ~np.roll(bits, -1, axis=1)).sum(axis=1)
     best = int(descents.argmax())
-    if descents[best] > jin_upper_bound(p):
-        raise SuperbridgeError("internal: descent count exceeds floor(n/2)")
     result = SuperbridgeResult(int(descents[best]), witness(best), pattern_count=len(bits))
     return result, {d: c for d, c in enumerate(np.bincount(descents).tolist()) if c}
 

@@ -21,6 +21,7 @@ from .linalg import (
     cross3,
     dot3,
     is_zero3,
+    primitive_vector,
     sub3,
     vec3,
 )
@@ -191,11 +192,8 @@ def _scaled_edges(vertices: Sequence[Vec3]) -> tuple[tuple[int, int, int], ...]:
     coords = [c for v in vertices for c in v]
     scale = math.lcm(*(c.denominator for c in coords))
     ints = [c.numerator * (scale // c.denominator) for c in coords]
-    diffs = [b - a for a, b in zip(ints, ints[3:] + ints[:3])]
-    g = math.gcd(*diffs)
-    return tuple(
-        (diffs[i] // g, diffs[i + 1] // g, diffs[i + 2] // g) for i in range(0, len(diffs), 3)
-    )
+    diffs = primitive_vector([b - a for a, b in zip(ints, ints[3:] + ints[:3])])
+    return tuple(diffs[i : i + 3] for i in range(0, len(diffs), 3))
 
 
 def sign_pattern(e: EdgeVectors, v: Direction) -> SignPattern:

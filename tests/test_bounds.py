@@ -16,6 +16,7 @@ from superbridge import (
 )
 from superbridge.bounds import (
     METADATA_COLUMNS,
+    BoundInterval,
     InconsistentRecord,
     NoUpperBoundAvailable,
     knot_sort_key,
@@ -104,6 +105,20 @@ class TestInterval:
     def test_inconsistent(self):
         with pytest.raises(InconsistentRecord):
             interval(KnotRecord(name="bad_1", bridge_index=9, certified_upper=4))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: KnotRecord(name="3_1", bridge_index=0), "bridge index must be >= 1"),
+        (lambda: KnotRecord(name="3_1", stick_upper=2), "stick number must be >= 3"),
+        (lambda: BoundInterval(0, 3), r"bad interval \[0, 3\]"),
+        (lambda: BoundInterval(5, 4), r"bad interval \[5, 4\]"),
+    ],
+)
+def test_record_and_interval_validation(make, message):
+    with pytest.raises(SuperbridgeError, match=message):
+        make()
 
 
 @given(

@@ -231,6 +231,18 @@ class TestVerifyOdd:
             verify_odd_bundle(corpus["9_22"].knot, entry.certificate)
 
 
+def test_verify_bundle_needs_the_bundle_kind_of_the_parity(corpus):
+    even, odd = corpus["9_22"].knot, corpus["9_36"].knot
+    cases = [
+        (even, CertificateBundle(matrix=((1,) * even.n,) * even.n), "even edge count needs a vector"),
+        (odd, CertificateBundle(vector=(1,) * odd.n), "odd edge count needs a matrix bundle"),
+    ]
+    for knot, bundle, message in cases:
+        with pytest.raises(InvalidCertificate, match=message) as exc:
+            verify_bundle(knot, bundle)
+        assert exc.value.check == "dimension"
+
+
 def _rational_affine_image(p: PolygonalKnot) -> PolygonalKnot:
     """Every vertex times 7/3, shifted by (1/2, -1/5, 3/7): edges scale by 7/3."""
     shift = (Fraction(1, 2), Fraction(-1, 5), Fraction(3, 7))

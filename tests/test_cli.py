@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,8 +7,9 @@ import time
 
 import pytest
 
+from superbridge import find_certificate
 from superbridge.cli import build_parser, main
-from superbridge.corpus import data_root
+from superbridge.corpus import CertificateDocument, data_root, save_certificate_document
 
 
 def _data(rel):
@@ -93,6 +95,32 @@ class TestFind:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verified"] is False
         assert payload["evidence"]
+
+    @pytest.mark.parametrize("name", ["9_22", "12n_225"])
+    def test_text_bundle_is_the_document_section(self, name, capsys, tmp_path, corpus):
+        """After its first line, ``sb find`` prints the bundle section of the
+        certificate document that would be saved for the same bundle."""
+        knot = corpus[name].knot
+        assert main(["find", _data(f"realizations/{name}.txt")]) == 0
+        first, *rest = capsys.readouterr().out.splitlines()
+        assert first == f"{name}: certificate for sb <= {knot.n // 2 - 1}"
+        path = tmp_path / f"{name}.cert"
+        bundle = find_certificate(knot).bundle
+        save_certificate_document(CertificateDocument(knot=knot, bundle=bundle), path)
+        assert rest == path.read_text(encoding="utf-8").splitlines()[3 + knot.n :]
+        assert len(rest) == (1 if knot.n % 2 == 0 else 1 + knot.n)
+
+    def test_text_pinned_on_every_realization(self, capsys, corpus):
+        h = hashlib.sha256()
+        for name in sorted(corpus):
+            assert main(["find", _data(f"realizations/{name}.txt")]) == 0
+            h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == FIND_TEXT_DIGEST
+
+
+# sha256 of the stdout of ``sb find`` (text) on each realization, in name order,
+# recorded while the command still formatted bundles itself.
+FIND_TEXT_DIGEST = "2b85e53591e62613f98fe6a16e0667647e72e15b1aa66cee548c571f2ae26df5"
 
 
 class TestTable:
@@ -267,8 +295,17 @@ _HUGE = "".join(
 ).encode()
 
 
+def _verify_with_line(cert: str, extra: str) -> tuple:
+    """``sb verify`` on a shipped certificate with one line appended, which
+    the error must name."""
+    lines = (data_root() / "certificates" / cert).read_text(encoding="utf-8").splitlines()
+    return "\n".join([*lines, extra]).encode() + b"\n", ["verify"], f":{len(lines) + 1}: "
+
+
 #: file name -> (file content or None, argv before the path, expected "<path>:<line>: " suffix)
 _BAD_INPUTS = {
+    "after_u.cert": _verify_with_line("9_22.cert", "garbage here"),
+    "after_rows.cert": _verify_with_line("12n_225.cert", "x y z"),
     "zero.cert": (_CERT.format("1/0").encode(), ["verify"], ":5: "),
     "word.cert": (_CERT.format("abc").encode(), ["verify"], ":5: "),
     "repeated.cert": (_CERT.format("0").encode(), ["verify"], ":3: "),

@@ -18,7 +18,13 @@ from superbridge import (
     verify_bundle,
     verify_entry,
 )
-from superbridge.corpus import ParseError, data_root, save_certificate_document
+from superbridge.corpus import (
+    ParseError,
+    SuperbridgeError,
+    corpus_entry,
+    data_root,
+    save_certificate_document,
+)
 
 
 def _data(rel):
@@ -89,6 +95,10 @@ def test_round_trip_arbitrary_rationals(coords, tmp_path_factory):
     assert load_realization(path).vertices == knot.vertices
 
 
+_SQUARE = "knot: sq\nparity: even\nvertices:\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
+_TRIANGLE = "knot: t\nparity: odd\nvertices:\n0 0 0\n2 0 0\n1 1 0\n"
+
+
 class TestCertificateFiles:
     def test_nine_36_matrix_entry(self):
         bundle = load_certificate(_data("certificates/9_36.cert"))
@@ -116,6 +126,38 @@ class TestCertificateFiles:
         )
         with pytest.raises(ParseError):
             load_certificate_document(f)
+
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            (_SQUARE + "u: 1 0 1", 8, "u has 3 entries, expected 4"),
+            (_SQUARE + "u: 1 0 1 x", 8, "bad integer: invalid literal for int() with base 10: 'x'"),
+            (_SQUARE + "U:\n1 0 1 0", 8, "even parity requires a 'u:' line"),
+            (_TRIANGLE + "u: 1 1 1", 7, "odd parity requires a 'U:' section"),
+            (_TRIANGLE + "U:\n1 1 1\n1 1", 9, "matrix row has 2 entries, expected 3"),
+            (_TRIANGLE + "U:\n1 1 1\n1 1 1/2\n1 1 1", 9, "bad integer: invalid literal for int() with base 10: '1/2'"),
+            (_TRIANGLE + "U:\n1 1 1\n1 1 1", 9, "matrix has 2 rows, expected 3"),
+        ],
+    )
+    def test_bundle_errors_name_their_line(self, tmp_path, text, line_no, message):
+        f = tmp_path / "bad.cert"
+        f.write_text(text + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_certificate_document(f)
+        assert str(exc.value) == f"{f}:{line_no}: {message}"
+
+    @pytest.mark.parametrize("extra", ["garbage here", "u: 1 2 3", "{last}", "U:"])
+    def test_document_ends_at_its_bundle(self, tmp_path, extra):
+        """Blank and comment lines may follow the bundle; a content line may not."""
+        for cert in sorted(_data("certificates").iterdir(), key=lambda p: p.name):
+            lines = cert.read_text(encoding="utf-8").splitlines()
+            path = tmp_path / cert.name
+            path.write_text("\n".join([*lines, "", "# a closing comment"]) + "\n")
+            assert load_certificate_document(path).bundle == load_certificate(cert)
+            path.write_text("\n".join([*lines, extra.format(last=lines[-1])]) + "\n")
+            with pytest.raises(ParseError, match="unexpected content after the bundle") as exc:
+                load_certificate_document(path)
+            assert exc.value.line_no == len(lines) + 1, cert.name
 
     def test_document_round_trip(self, corpus, tmp_path):
         for name, entry in corpus.items():
@@ -147,6 +189,11 @@ class TestShippedCorpus:
         assert corpus["9_36"].source == "Fig. 4"
         assert corpus["11n_72"].source == "Cor. 2.4"
         assert all(e.source for e in corpus.values())
+
+    def test_entry_by_name(self, corpus):
+        assert corpus_entry("9_36") == corpus["9_36"]
+        with pytest.raises(SuperbridgeError, match="no corpus entry named '9_99'"):
+            corpus_entry("9_99")
 
     def test_every_entry_verifies(self, corpus):
         for entry in corpus.values():
