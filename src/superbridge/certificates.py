@@ -10,7 +10,13 @@ a bundle with one vector per cyclic shift certifies the bound
 sb <= floor(n/2) - 1. One sign rule, ``shift_sign``, signs the columns of
 every system, and both verification and certificate search build them
 straight from the polygon's integer edge table; the search reads the
-table's scale once per polygon, not once per system.
+table's scale once per polygon, not once per system. Verification signs a
+polygon's systems once and keeps them on the polygon, as the polygon keeps
+its edge table, so each later check of the same polygon object skips the
+signing; the search signs afresh and leaves nothing on the polygons it
+returns. An odd bundle's columns are gathered by one transpose and rotated
+by slicing, and each candidate is checked by ``null_vector_failure``, so no
+step of a check loops over entries in Python.
 
 Published bundle layout. Shipped certificate matrices list one null vector
 per column, generated by rotating the edge list rather than shifting the
@@ -137,7 +143,7 @@ def shift_sign(n: int, j: int, i: int) -> int:
     return -1 if (i + j - 1) % n % 2 else 1
 
 
-def _signed_systems(edges: Sequence[Sequence]) -> list[tuple[tuple, ...]]:
+def _signed_systems(edges: Sequence[Sequence]) -> tuple[tuple[tuple, ...], ...]:
     """Signed columns of every system on ``edges``, by the parity of n.
 
     Even n: the alternating system alone. Odd n: E_1..E_n, each E_j the
@@ -146,10 +152,24 @@ def _signed_systems(edges: Sequence[Sequence]) -> list[tuple[tuple, ...]]:
     n = len(edges)
     signed = (edges, tuple(neg3(e) for e in edges))
     flips = [shift_sign(n, 1, i) < 0 for i in range(n)]
-    return [
+    return tuple(
         tuple(signed[f][i] for i, f in enumerate(flips[s:] + flips[:s]))
         for s in (range(n) if n % 2 else (0,))
-    ]
+    )
+
+
+def _polygon_systems(p: PolygonalKnot) -> tuple[tuple[tuple, ...], ...]:
+    """``_signed_systems`` of p's integer edge table, signed once per polygon.
+
+    Kept on p as a plain attribute on first use, as p keeps its edge table:
+    ``dataclasses.replace`` builds a polygon without it, and pickling carries
+    it with the vertices it was signed from.
+    """
+    systems = p.__dict__.get("_signed_systems")
+    if systems is None:
+        systems = _signed_systems(integer_edges(p))
+        object.__setattr__(p, "_signed_systems", systems)
+    return systems
 
 
 def build_even_system(e: EdgeVectors) -> EvenSystem:
@@ -175,7 +195,7 @@ def verify_even_certificate(p: PolygonalKnot, u: Sequence) -> VerifiedBound:
         raise OddEdgeCount(f"{p.name}: edge count {n} is odd")
     if len(u) != n:
         raise InvalidCertificate("dimension", f"vector length {len(u)} != {n}")
-    failure = null_vector_failure(_signed_systems(integer_edges(p))[0], primitive_vector(u))
+    failure = null_vector_failure(_polygon_systems(p)[0], primitive_vector(u))
     if failure is not None:
         raise InvalidCertificate(failure, f"{p.name}: even-system certificate rejected")
     return VerifiedBound(knot=p.name, n=n, bound=n // 2 - 1)
@@ -209,12 +229,12 @@ def verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBo
         raise InvalidCertificate(
             "dimension", f"{p.name}: bundle is {bundle.size}x{bundle.size}, edges {n}"
         )
-    systems = _signed_systems(integer_edges(p))
-    columns = [primitive_vector(bundle.column(c)) for c in range(n)]
+    systems = _polygon_systems(p)
+    columns = [primitive_vector(col) for col in zip(*bundle.matrix)]
 
     def failure(j: int, c: int, r: int) -> Optional[str]:
-        rotated = tuple(columns[c][(q - r) % n] for q in range(n))
-        return null_vector_failure(systems[j - 1], rotated)
+        col = columns[c]
+        return null_vector_failure(systems[j - 1], col[n - r :] + col[: n - r])
 
     assignment = []
     uncovered = []

@@ -10,7 +10,9 @@ order defines the cycle.
 Certificate files: a self-contained document with the knot name, vertex
 list, parity, and either a single line ``u: <integers>`` (even edge
 count) or ``U:`` followed by n rows of n integers (odd edge count). The
-document ends at its bundle: any content line after it is a ParseError.
+``knot:`` line must name the knot, and the ``vertices:`` and ``U:`` lines
+carry nothing after the colon. The document ends at its bundle: any
+content line after it is a ParseError.
 
 The shipped corpus contains 22 integer-coordinate realizations: twenty
 carry a published null-vector certificate, and two (11n_72 and 12n_553,
@@ -109,11 +111,15 @@ def load_certificate_document(path) -> CertificateDocument:
         return line[len(key) + 1 :].strip()
 
     name = expect_field("knot")
+    if not name:
+        raise ParseError(path, lines[pos - 1][0], "empty knot name")
     parity = expect_field("parity")
     if parity not in ("even", "odd"):
         raise ParseError(path, lines[pos - 1][0], f"parity must be even/odd, got {parity!r}")
-    expect_field("vertices")
+    extra = expect_field("vertices")
     vertices_line = lines[pos - 1][0]
+    if extra:
+        raise ParseError(path, vertices_line, f"unexpected text after 'vertices:': {extra!r}")
     rows = []
     while pos < len(lines):
         line_no, line = lines[pos]
@@ -137,6 +143,8 @@ def load_certificate_document(path) -> CertificateDocument:
     else:
         if not line.startswith("U:"):
             raise ParseError(path, line_no, "odd parity requires a 'U:' section")
+        if line[2:].strip():
+            raise ParseError(path, line_no, f"unexpected text after 'U:': {line[2:].strip()!r}")
         matrix = tuple(_int_row(path, no, row, n, "matrix row") for no, row in lines[pos : pos + n])
         if len(matrix) != n:
             raise ParseError(path, lines[-1][0], f"matrix has {len(matrix)} rows, expected {n}")

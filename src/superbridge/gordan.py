@@ -13,6 +13,10 @@ in exact arithmetic before being returned. The matrix is read once as
 A = (p/q) B with B coprime integer columns; the simplex pivots on integer
 rows built from (B, p, q), and ``_phase_one`` says why Bland's choices are
 those of the rational tableau. Both rechecks run on B.
+
+``null_vector_failure`` is the package's one residual check: the simplex
+recheck and every certificate verifier call it, and each of its checks is
+one pass at C level.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .linalg import SuperbridgeError, Vec3, dot3, primitive_vector, rational, vec3
@@ -87,15 +92,18 @@ def null_vector_failure(columns: Sequence[Sequence], u: Sequence) -> Optional[st
     and "nonzero_residual". Columns and u must already be exact numbers
     (ints or Fractions); nothing is converted here. This is the one place
     the residual A u is computed; every verifier in the package calls it.
+    Each check is one C-level pass (``min``, ``any``, and per row of A a
+    ``sum`` of ``operator.mul`` over the row and u), with no Python loop
+    over the entries.
     """
     if len(u) != len(columns):
         return "dimension"
-    if any(x < 0 for x in u):
+    if min(u, default=0) < 0:
         return "negative_entry"
     if not any(u):
         return "zero_vector"
-    for d in range(3):
-        if sum(col[d] * x for col, x in zip(columns, u)) != 0:
+    for row in zip(*columns):
+        if sum(map(mul, row, u)):
             return "nonzero_residual"
     return None
 

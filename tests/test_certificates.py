@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import pickle
 import random
 import warnings
 from fractions import Fraction
@@ -27,6 +29,8 @@ from superbridge import (
 from superbridge.certificates import (
     EvenEdgeCount,
     OddEdgeCount,
+    _polygon_systems,
+    _signed_systems,
     published_column_for_system,
     shift_sign,
 )
@@ -35,7 +39,7 @@ from superbridge.corpus import (
     load_certificate_document,
     save_certificate_document,
 )
-from superbridge.geometry import KnotTypePreservationWarning
+from superbridge.geometry import KnotTypePreservationWarning, integer_edges
 
 
 class TestEvenSystem:
@@ -518,3 +522,53 @@ def test_tamper_verdicts_pinned(corpus):
     assert len(outcomes) == 6254
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
     assert digest == TAMPER_DIGEST
+
+
+#: entry type -> (an int entry x in that type, the integer it stands for)
+_ENTRY_FORMS = {
+    "fraction": (lambda x: Fraction(x, 3), lambda x: x),
+    "string": (str, lambda x: x),
+    "bool": (lambda x: x > 0, lambda x: int(x > 0)),
+}
+
+
+def _map_entries(bundle: CertificateBundle, f) -> CertificateBundle:
+    if bundle.vector is not None:
+        return CertificateBundle(vector=tuple(map(f, bundle.vector)))
+    return CertificateBundle(matrix=tuple(tuple(map(f, row)) for row in bundle.matrix))
+
+
+@pytest.mark.parametrize("form", sorted(_ENTRY_FORMS))
+@pytest.mark.parametrize("name", ["9_22", "9_36", "12n_225"])
+def test_entries_of_other_types_get_the_verdict_of_their_int_form(corpus, name, form):
+    """Fraction, numeric-string and bool entries are read as the integers
+    they stand for: the shipped bundle and a tamper of it verify or fail
+    exactly as their int forms do."""
+    entry = corpus[name]
+    typed, as_int = _ENTRY_FORMS[form]
+    for bundle in (entry.certificate, next(_single_entry_tampers(entry.certificate, 1))):
+        assert _outcome(entry.knot, _map_entries(bundle, typed)) == _outcome(
+            entry.knot, _map_entries(bundle, as_int)
+        )
+
+
+@pytest.mark.parametrize("name", ["9_22", "9_36"])
+def test_signed_systems_follow_the_vertices_of_every_copy(corpus, name):
+    """Once a polygon is verified, a ``dataclasses.replace`` of it and a
+    pickle round trip give the verdicts and signed systems of a freshly
+    built polygon on the same vertices. ``other`` has the parity of ``name``."""
+    entry, other = corpus[name], corpus["9_3" if name == "9_36" else "11n_77"]
+    p = entry.knot
+    verify_bundle(p, entry.certificate)
+    copies = [
+        pickle.loads(pickle.dumps(p)),
+        dataclasses.replace(p),
+        dataclasses.replace(p, vertices=other.knot.vertices),
+    ]
+    for q in copies:
+        fresh = PolygonalKnot(q.name, q.vertices)
+        assert _polygon_systems(q) == _signed_systems(integer_edges(fresh))
+        for bundle in (entry.certificate, other.certificate):
+            assert _outcome(q, bundle) == _outcome(fresh, bundle)
+    assert _outcome(copies[2], other.certificate)[0] == "verified"
+    assert _outcome(copies[2], entry.certificate)[0] == "rejected"

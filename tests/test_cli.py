@@ -302,10 +302,22 @@ def _verify_with_line(cert: str, extra: str) -> tuple:
     return "\n".join([*lines, extra]).encode() + b"\n", ["verify"], f":{len(lines) + 1}: "
 
 
+def _verify_with_header(cert: str, header: str, text: str) -> tuple:
+    """``sb verify`` on a shipped certificate whose bare ``header`` line
+    carries ``text``, which the error must name."""
+    lines = (data_root() / "certificates" / cert).read_text(encoding="utf-8").splitlines()
+    i = lines.index(header)
+    lines[i] = f"{header} {text}"
+    return "\n".join(lines).encode() + b"\n", ["verify"], f":{i + 1}: "
+
+
 #: file name -> (file content or None, argv before the path, expected "<path>:<line>: " suffix)
 _BAD_INPUTS = {
     "after_u.cert": _verify_with_line("9_22.cert", "garbage here"),
     "after_rows.cert": _verify_with_line("12n_225.cert", "x y z"),
+    "text_after_U.cert": _verify_with_header("12n_225.cert", "U:", "5 5 garbage"),
+    "text_after_vertices.cert": _verify_with_header("9_22.cert", "vertices:", "7 x"),
+    "bare_knot.cert": (_CERT.replace("knot: sq", "knot:").format("1").encode(), ["verify"], ":1: "),
     "zero.cert": (_CERT.format("1/0").encode(), ["verify"], ":5: "),
     "word.cert": (_CERT.format("abc").encode(), ["verify"], ":5: "),
     "repeated.cert": (_CERT.format("0").encode(), ["verify"], ":3: "),
@@ -374,3 +386,63 @@ def test_radius_below_half_fails_within_a_second(tmp_path, capsys):
     assert main([*_SEARCH, "--radius", "49/100", "--out", str(tmp_path)]) == 1
     assert time.perf_counter() - start < 1
     assert "1/2" in capsys.readouterr().err
+
+
+# Runs ``sb`` with the arguments after ``-c`` (none: only imports the
+# package), then reports on stderr whether numpy was ever imported.
+_REPORT_NUMPY = (
+    "import sys\n"
+    "import superbridge\n"
+    "from superbridge.cli import main\n"
+    "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "sys.stdout.flush()\n"
+    "print('numpy:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _run_reporting_numpy(argv, package_env) -> tuple[str, bool]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_NUMPY, *argv],
+        env=package_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = proc.stderr.splitlines()[-1]
+    assert report in ("numpy: False", "numpy: True"), proc.stderr
+    return proc.stdout, report == "numpy: True"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["verify", *sorted(str(p) for p in (data_root() / "certificates").iterdir())],
+        ["find", _data("realizations/9_22.txt")],
+        ["find", _data("realizations/12n_225.txt")],
+        ["table", "--metadata", _data("metadata/rolfsen.csv")],
+        ["normalize", _data("realizations/9_22.txt"), "--pose", "--digits", "3"],
+    ],
+    ids=["import", "verify", "find_even", "find_odd", "table", "normalize"],
+)
+def test_certificate_commands_leave_numpy_unloaded(argv, package_env):
+    """Importing the package and checking or finding certificates never
+    import numpy: only the arrangement kernel and the screen need it."""
+    out, numpy_loaded = _run_reporting_numpy(argv, package_env)
+    assert not numpy_loaded
+    if argv[:1] == ["verify"]:
+        assert out.count(": certified sb <= ") == 20
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("9_22", "9d0ed1983e7b2e972914c3c70e2a3de9ef5e024aca42b5c264dff3c3c634317e"),
+        ("12n_225", "d0fef8f0f41230d85033013e6f8305a0003ee4cc7793fea345e08a0fa8ad8c1d"),
+    ],
+)
+def test_exact_loads_numpy_on_demand_with_unchanged_output(name, digest, package_env):
+    """``sb exact`` imports the kernel, and numpy with it, on its first call;
+    its output is pinned by sha256."""
+    out, numpy_loaded = _run_reporting_numpy(["exact", _data(f"realizations/{name}.txt")], package_env)
+    assert numpy_loaded
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

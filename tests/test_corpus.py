@@ -207,26 +207,29 @@ class TestShippedCorpus:
 _TOKENS = ("0", "-1", "1/0", "1e400", "nan", "x", "", str(10**30), "u:", "U:", "odd", "even")
 
 
-def _mutant(rng, lines):
-    """One line deleted, duplicated, truncated or garbled, or one token changed."""
-    lines = list(lines)
-    i = rng.randrange(len(lines))
-    op = rng.randrange(5)
-    if op == 0:
-        del lines[i]
-    elif op == 1:
-        lines.insert(i, lines[i])
-    elif op == 2:
-        lines[i] = lines[i][: rng.randrange(len(lines[i]) + 1)]
-    elif op == 3 and lines[i]:
-        k = rng.randrange(len(lines[i]))
-        lines[i] = lines[i][:k] + rng.choice("x-/.09:# ") + lines[i][k + 1 :]
-    else:
-        tokens = lines[i].split(" ")
-        k = rng.randrange(len(tokens))
-        tokens[k] = rng.choice(_TOKENS + ("-" + tokens[k], tokens[k] + "7"))
-        lines[i] = " ".join(tokens)
-    return lines
+def _mutant(rng, source):
+    """One line deleted, duplicated, truncated or garbled, or one token
+    changed; redrawn until the result differs from ``source``."""
+    while True:
+        lines = list(source)
+        i = rng.randrange(len(lines))
+        op = rng.randrange(5)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        elif op == 2:
+            lines[i] = lines[i][: rng.randrange(len(lines[i]) + 1)]
+        elif op == 3 and lines[i]:
+            k = rng.randrange(len(lines[i]))
+            lines[i] = lines[i][:k] + rng.choice("x-/.09:# ") + lines[i][k + 1 :]
+        else:
+            tokens = lines[i].split(" ")
+            k = rng.randrange(len(tokens))
+            tokens[k] = rng.choice(_TOKENS + ("-" + tokens[k], tokens[k] + "7"))
+            lines[i] = " ".join(tokens)
+        if lines != source:
+            return lines
 
 
 def test_certificate_mutants_end_in_a_typed_outcome(tmp_path, package_env):
@@ -240,7 +243,10 @@ def test_certificate_mutants_end_in_a_typed_outcome(tmp_path, package_env):
     by_outcome: dict[str, list] = {"accepted": [], "ParseError": [], "InvalidCertificate": []}
     for k in range(600):
         path = tmp_path / f"m{k}.cert"
-        path.write_text("\n".join(_mutant(rng, rng.choice(docs))) + "\n", encoding="utf-8")
+        source = rng.choice(docs)
+        mutant = _mutant(rng, source)
+        assert mutant != source
+        path.write_text("\n".join(mutant) + "\n", encoding="utf-8")
         try:
             doc = load_certificate_document(path)
             verify_bundle(doc.knot, doc.bundle)

@@ -18,8 +18,9 @@ from superbridge import (
     sign_pattern,
     superbridge_number,
 )
-from superbridge import enumeration
-from superbridge.enumeration import KERNEL_TEMP_BYTES, DegenerateEdgeSet, superbridge_census
+from superbridge import _kernel, enumeration
+from superbridge._kernel import KERNEL_TEMP_BYTES
+from superbridge.enumeration import DegenerateEdgeSet, superbridge_census
 from superbridge.geometry import EdgeVectors, NonGenericDirection, cyclic_descents
 from superbridge.linalg import SuperbridgeError, cross3, dot3, neg3, primitive_vector
 
@@ -358,7 +359,7 @@ def test_large_n_stays_within_the_block_bound():
 
 def _cells_record(prim):
     """Sign bits, first visit indices and witnesses of every row of ``_cells``."""
-    bits, first, witness = enumeration._cells(prim)
+    bits, first, witness = _kernel._cells(prim)
     return bits.tolist(), first.tolist(), [witness(i).v for i in range(len(bits))]
 
 
@@ -370,14 +371,14 @@ def test_many_small_blocks_merge_to_the_same_cells(monkeypatch, n, pairs_per_blo
     prim = enumeration._primitive_rows(_random_knot(random.Random(n), n))
     expected = _cells_record(prim)
     merges = []
-    first_rows = enumeration._first_rows
+    first_rows = _kernel._first_rows
 
     def counted(words, first, spare):
         merges.append(spare)
         return first_rows(words, first, spare)
 
-    monkeypatch.setattr(enumeration, "_first_rows", counted)
-    monkeypatch.setattr(enumeration, "KERNEL_TEMP_BYTES", 256 * (n + 4) * pairs_per_block)
+    monkeypatch.setattr(_kernel, "_first_rows", counted)
+    monkeypatch.setattr(_kernel, "KERNEL_TEMP_BYTES", 256 * (n + 4) * pairs_per_block)
     assert _cells_record(prim) == expected
     blocks = -(-(n * (n - 1) // 2) // pairs_per_block)  # n circles, one per edge
     assert 2 < len(merges) < blocks

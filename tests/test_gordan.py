@@ -84,6 +84,29 @@ class TestVerifiers:
     def test_null_vector_failure_names_first_failed_check(self, u, failure):
         assert null_vector_failure(ANTIPODAL.columns, u) == failure
 
+    @pytest.mark.parametrize(
+        "u, failure",
+        [
+            ((Fraction(-1, 2), 1, 1), "dimension"),
+            ((Fraction(-1, 2), 1, 1, 0), "negative_entry"),
+            ((0, 0, 0, Fraction(-1, 7)), "negative_entry"),
+            ((Fraction(0), 0, Fraction(0), 0), "zero_vector"),
+            ((1, 1, 1, Fraction(1, 9)), "nonzero_residual"),
+            ((1, Fraction(2), 1, 0), "nonzero_residual"),
+            ((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 0), None),
+        ],
+    )
+    def test_first_failed_check_on_fraction_entries(self, u, failure):
+        """With Fractions in the matrix and in u, and several checks failing
+        at once, the first check in order is the one reported."""
+        m = GordanMatrix.from_columns([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, Fraction(1, 2))])
+        assert null_vector_failure(m.columns, u) == failure
+        if failure == "dimension":
+            with pytest.raises(DimensionMismatch):
+                verify_null_combination(m, u)
+        else:
+            assert verify_null_combination(m, u) == (failure is None)
+
     def test_null_accepts_rationals(self):
         assert verify_null_combination(ANTIPODAL, (Fraction(1, 3), Fraction(1, 3)))
 
