@@ -10,9 +10,11 @@ an exact phase-one simplex on ``{u >= 0 : A u = 0, sum(u) = 1}`` with
 Bland's anti-cycling rule. Infeasibility yields dual multipliers from
 which the separating direction is read off. Every certificate is verified
 in exact arithmetic before being returned. The matrix is read once as
-A = (p/q) B with B coprime integer columns; the simplex pivots on integer
-rows built from (B, p, q), and ``_phase_one`` says why Bland's choices are
-those of the rational tableau. Both rechecks run on B.
+A = (p/q) B with B coprime integer columns. The simplex runs in revised
+form: it keeps each row's block on the four artificial columns (a row of
+the basis inverse) in integers, prices a column of B only when Bland's
+scan reaches it, and ``_phase_one`` says why its choices are those of the
+full rational tableau. Both rechecks run on B.
 
 ``null_vector_failure`` is the package's one residual check: the simplex
 recheck and every certificate verifier call it, and each of its checks is
@@ -27,7 +29,7 @@ from math import gcd
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .linalg import SuperbridgeError, Vec3, dot3, primitive_vector, rational, vec3
+from .linalg import SuperbridgeError, Vec3, dot3, primitive_vector, rational
 
 
 class DimensionMismatch(SuperbridgeError):
@@ -36,17 +38,28 @@ class DimensionMismatch(SuperbridgeError):
 
 @dataclass(frozen=True)
 class GordanMatrix:
-    """Ordered columns of an exact rational 3 x l matrix, l >= 1."""
+    """Ordered columns of an exact rational 3 x l matrix, l >= 1.
+
+    Every column has three entries, each an int or a Fraction;
+    ``from_columns`` coerces rational strings and floats first.
+    """
 
     columns: tuple[Vec3, ...]
 
     def __post_init__(self):
         if len(self.columns) < 1:
             raise SuperbridgeError("matrix needs at least one column")
+        for col in self.columns:
+            if len(col) != 3:
+                raise DimensionMismatch(f"column has {len(col)} entries, matrix has 3 rows")
+            if not all(isinstance(x, (int, Fraction)) for x in col):
+                raise SuperbridgeError(f"entries must be ints or Fractions, got {list(col)!r}")
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "GordanMatrix":
-        return cls(columns=tuple(vec3(*c) for c in cols))
+        return cls(columns=tuple(
+            tuple(_exact(c, 3, "column has {} entries, matrix has {} rows")) for c in cols
+        ))
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -161,60 +174,81 @@ def _reduced(row: list[int]) -> list[int]:
 
 
 def _phase_one(a: tuple[tuple[tuple[int, ...], ...], int, int]):
-    """Phase-one simplex on integer rows for {u >= 0 : A u = 0, sum(u) = 1}.
+    """Revised phase-one simplex for {u >= 0 : A u = 0, sum(u) = 1}.
 
     ``a`` is the matrix A = (p/q) B as ``_integer_columns`` reads it.
     Returns (True, u, None) on feasibility, else (False, None, y) where y
     are the optimal dual multipliers of the four equality rows.
 
-    The rational tableau has rows [A | I | rhs | 0] and the reduced-cost
-    row (a sum of rows, so its signs depend on the column scaling). Here
-    each row is that row times q, [p B_d | q I_d | 0 0], and the cost row is
-    q times the rational one, -(p sum(B) + q) | 0 | -q | q; each is reduced
-    once to coprime integers and from then on is known only up to its own
-    positive factor. No factor changes a pivot: Bland's entering rule reads
-    only signs of the reduced-cost row, and the ratio test compares
-    rhs/coef within one row. The reduced-cost row's last entry is its
-    factor (1 in rational terms), so the duals come back exact.
+    The rational tableau has rows [A | I | rhs] over the four equality
+    rows (the three rows of A and sum(u) = 1) and the reduced-cost row.
+    Each row is M [A | I | rhs] for the inverse M of the current basis, so
+    it is fixed by its artificial block. Only that block is kept: a
+    constraint row as [a | rhs], the cost row as [a | rhs | factor], each
+    an integer row known up to its own positive factor and reduced by
+    ``_reduced``. A row's entry in column c of A is a . (A_c, 1) =
+    (p (a_0 B_0c + a_1 B_1c + a_2 B_2c) + q a_3) / q, and in artificial
+    column i it is a_i. The cost row is factor * (0 | 1 1 1 1) - d [A | I]
+    with d_i = factor - a_i the scaled duals, so column c's reduced cost is
+    negative exactly when p (d . B_c) + q d_3 > 0.
+
+    The pivots are those of the full tableau. Bland's entering rule reads
+    only the signs of the reduced costs, scanned over the columns of A and
+    then the artificial columns, and stops at the first negative one; the
+    ratio test compares rhs/coef within one row and breaks ties by basis
+    index. None of these depends on a row's positive factor or on the
+    common positive factor q of a priced column, so every choice, and with
+    it every basis, u and y, is that of the rational tableau.
     """
     cols, p, q = a
-    ell, m = len(cols), 4
-    width = ell + m
-    rows = [_reduced([p * col[d] for col in cols] + [q * (i == d) for i in range(m)] + [0, 0])
-            for d in range(3)]
-    rows.append([1] * ell + [0, 0, 0, 1, 1, 0])
+    ell = len(cols)
+    rows = [[int(i == r) for i in range(4)] + [int(r == 3)] for r in range(4)]
     # Minimize the artificial sum from the all-artificial basis; the rhs
-    # entry of this row is minus the objective value.
-    rows.append(_reduced([-(p * sum(col) + q) for col in cols] + [0] * m + [-q, q]))
-    basis = list(range(ell, width))
+    # entry of the cost row is minus the objective value.
+    obj = [0, 0, 0, 0, -1, 1]
+    basis = list(range(ell, ell + 4))
 
-    while (enter := next((c for c in range(width) if rows[m][c] < 0), None)) is not None:
+    while True:
+        f = obj[5]
+        pd0, pd1, pd2, qd3 = p * (f - obj[0]), p * (f - obj[1]), p * (f - obj[2]), q * (f - obj[3])
+        # Column c of A is priced at q times its entries: the four
+        # constraint rows' coefficients and the cost row's reduced cost.
+        for enter, (x, y, z) in enumerate(cols):
+            price = pd0 * x + pd1 * y + pd2 * z + qd3
+            if price > 0:
+                coefs = [p * (r0 * x + r1 * y + r2 * z) + q * r3 for r0, r1, r2, r3, _ in rows]
+                cost = -price
+                break
+        else:
+            i = next((i for i in range(4) if obj[i] < 0), None)
+            if i is None:
+                break
+            enter, coefs, cost = ell + i, [row[i] for row in rows], obj[i]
         leave = None
-        for r in range(m):
-            coef = rows[r][enter]
+        for r, coef in enumerate(coefs):
             if coef <= 0:
                 continue
             if leave is not None:
                 # rhs/coef against the best row so far; Bland breaks ties
-                lhs, rhs = rows[r][width] * rows[leave][enter], rows[leave][width] * coef
+                lhs, rhs = rows[r][4] * coefs[leave], rows[leave][4] * coef
                 if lhs > rhs or (lhs == rhs and basis[r] > basis[leave]):
                     continue
             leave = r
         if leave is None:
             raise SuperbridgeError("internal: phase-one objective unbounded")
-        pivot, piv = rows[leave], rows[leave][enter]
-        for r, row in enumerate(rows):
-            f = row[enter]
-            if r != leave and f != 0:
-                rows[r] = _reduced([x * piv - f * y for x, y in zip(row, pivot)])
+        pivot, piv = rows[leave], coefs[leave]
+        for r, coef in enumerate(coefs):
+            if r != leave and coef != 0:
+                rows[r] = _reduced([s * piv - coef * t for s, t in zip(rows[r], pivot)])
+        obj = _reduced([s * piv - cost * t for s, t in zip(obj, pivot)] + [f * piv])
         basis[leave] = enter
 
-    obj = rows[m]
-    if obj[width] == 0:
+    if obj[4] == 0:
         u = [Fraction(0)] * ell
-        for r in range(m):
-            if basis[r] < ell:
-                u[basis[r]] = Fraction(rows[r][width], rows[r][basis[r]])
+        for (a0, a1, a2, a3, rhs), c in zip(rows, basis):
+            if c < ell:
+                x, y, z = cols[c]
+                u[c] = Fraction(q * rhs, p * (a0 * x + a1 * y + a2 * z) + q * a3)
         return True, u, None
-    scale = obj[width + 1]
-    return False, None, [Fraction(scale - obj[ell + i], scale) for i in range(m)]
+    f = obj[5]
+    return False, None, [Fraction(f - obj[i], f) for i in range(4)]

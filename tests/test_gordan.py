@@ -253,12 +253,14 @@ def test_decisions_pinned_on_seeded_random_matrices():
     assert digest == "769fb10d9dafe368da7f576fda0693a0bf47df9e8900ed69974514c9e853fef7"
 
 
-def _reference_phase_one(a: GordanMatrix):
+def _reference_phase_one(a: GordanMatrix, pivots: list | None = None):
     """The phase-one simplex as it read the rational columns of A directly.
 
     Rows [A | I | rhs | 0] and the reduced-cost row are built from the
     Fraction columns, then each row is scaled once to primitive integers;
-    the integer tableau of ``gordan._phase_one`` must pivot exactly as this.
+    the revised simplex of ``gordan._phase_one`` must pivot exactly as this.
+    Each pivot is appended to ``pivots``, if given, as (entering column,
+    leaving row, whether a ratio-test tie moved the leaving row).
     """
     ell, m = len(a.columns), 4
     width = ell + m
@@ -270,7 +272,7 @@ def _reference_phase_one(a: GordanMatrix):
     basis = list(range(ell, width))
 
     while (enter := next((q for q in range(width) if rows[m][q] < 0), None)) is not None:
-        leave = None
+        leave, tie_moved = None, False
         for r in range(m):
             coef = rows[r][enter]
             if coef <= 0:
@@ -279,7 +281,10 @@ def _reference_phase_one(a: GordanMatrix):
                 lhs, rhs = rows[r][width] * rows[leave][enter], rows[leave][width] * coef
                 if lhs > rhs or (lhs == rhs and basis[r] > basis[leave]):
                     continue
+                tie_moved = tie_moved or lhs == rhs
             leave = r
+        if pivots is not None:
+            pivots.append((enter, leave, tie_moved))
         pivot, p = rows[leave], rows[leave][enter]
         for r, row in enumerate(rows):
             f = row[enter]
@@ -328,3 +333,88 @@ def test_phase_one_matches_reference_on_certify_systems():
         p = random_equilateral_polygon(n, Fraction(3), rng, name=f"certify{n}")
         for system in build_odd_systems(edge_vectors(p)).systems:
             _assert_phase_one_matches_reference(system)
+
+
+def test_phase_one_matches_reference_on_every_realization(corpus):
+    """The even system or all n odd systems of each of the 22 realizations."""
+    for entry in corpus.values():
+        e = edge_vectors(entry.knot)
+        systems = (build_even_system(e).matrix,) if len(e) % 2 == 0 else build_odd_systems(e).systems
+        for system in systems:
+            _assert_phase_one_matches_reference(system)
+
+
+# Two seeded random matrices: in the first an artificial column enters the
+# basis again (on the fourth pivot), in the second a ratio-test tie moves
+# the leaving row to one with a smaller basis index (on the second pivot).
+ARTIFICIAL_REENTERS = ((0, -3, 2), (-2, 1, -2), (2, -2, 3), (3, 0, 3), (-2, 3, 1))
+RATIO_TIE = ((-3, 2, 1), (3, 2, -3))
+
+
+def test_phase_one_matches_reference_when_an_artificial_column_reenters():
+    m = GordanMatrix(columns=ARTIFICIAL_REENTERS)
+    pivots = []
+    _reference_phase_one(m, pivots)
+    assert any(enter >= len(m) for enter, _, _ in pivots)
+    _assert_phase_one_matches_reference(m)
+
+
+def test_phase_one_matches_reference_on_a_ratio_tie():
+    m = GordanMatrix(columns=RATIO_TIE)
+    pivots = []
+    _reference_phase_one(m, pivots)
+    assert any(tie_moved for _, _, tie_moved in pivots)
+    _assert_phase_one_matches_reference(m)
+
+
+_SMALL_ENTRY = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _columns_with_repeats(draw):
+    """1 to 40 columns: fresh ones, repeats, antiparallel copies and zeros."""
+    fresh = st.tuples(_SMALL_ENTRY, _SMALL_ENTRY, _SMALL_ENTRY)
+    cols = [draw(fresh)]
+    for _ in range(draw(st.integers(0, 39))):
+        kind = draw(st.sampled_from(("fresh", "repeat", "antiparallel", "zero")))
+        if kind == "fresh":
+            cols.append(draw(fresh))
+        elif kind == "zero":
+            cols.append((Fraction(0),) * 3)
+        else:
+            col = draw(st.sampled_from(cols))
+            cols.append(col if kind == "repeat" else tuple(-x for x in col))
+    return GordanMatrix(columns=tuple(cols))
+
+
+@given(_columns_with_repeats())
+@settings(max_examples=200, deadline=None)
+def test_phase_one_matches_reference_with_repeated_columns(m):
+    _assert_phase_one_matches_reference(m)
+
+
+@pytest.mark.parametrize("cols", [((1, 2, 3, 4),), ((1, 2),), ((1, 0, 0), (1, 0)), ((),)])
+def test_column_without_three_entries_is_rejected(cols):
+    with pytest.raises(DimensionMismatch, match=r"column has \d entries, matrix has 3 rows"):
+        GordanMatrix(columns=cols)
+    with pytest.raises(DimensionMismatch, match=r"column has \d entries, matrix has 3 rows"):
+        GordanMatrix.from_columns(cols)
+
+
+@pytest.mark.parametrize("entry", [0.1, 1.0, "1", None])
+def test_inexact_entry_is_rejected(entry):
+    with pytest.raises(SuperbridgeError, match="entries must be ints or Fractions"):
+        GordanMatrix(columns=((1, 0, 0), (entry, 0, 0)))
+
+
+def test_from_columns_coerces_floats_and_rational_strings():
+    """A float reads as its shortest decimal, so the decision and the
+    verifiers see the same matrix."""
+    m = GordanMatrix.from_columns([(0.1, 0, 0), (0.2, 0, 0), (-0.3, 0, 0)])
+    assert m.columns == tuple((Fraction(k, 10), 0, 0) for k in (1, 2, -3))
+    assert gordan_decide(m) == NullCombination(u=(3, 0, 1))
+    assert verify_null_combination(m, (3, 0, 1))
+    assert verify_null_combination(m, (1, 1, 1))
+    assert GordanMatrix.from_columns([("1/2", "-3", 0)]).columns == ((Fraction(1, 2), -3, 0),)
+    with pytest.raises(SuperbridgeError, match="entries must be rational numbers"):
+        GordanMatrix.from_columns([("x", 0, 0)])
