@@ -10,11 +10,10 @@ a bundle with one vector per cyclic shift certifies the bound
 sb <= floor(n/2) - 1. One sign rule, ``shift_sign``, signs the columns of
 every system, and both verification and certificate search build them
 straight from the polygon's integer edge table; the search reads the
-table's scale once per polygon, not once per system. Verification signs a
-polygon's systems once and keeps them on the polygon, as the polygon keeps
-its edge table, so each later check of the same polygon object skips the
-signing; the search signs afresh and leaves nothing on the polygons it
-returns. An odd bundle's columns are gathered by one transpose and rotated
+table's scale once per polygon, not once per system. A polygon's systems
+are signed once and kept on the polygon, as the polygon keeps its edge
+table, so each later check or search of the same polygon object skips the
+signing. An odd bundle's columns are gathered by one transpose and rotated
 by slicing, and each candidate is checked by ``null_vector_failure``, so no
 step of a check loops over entries in Python.
 
@@ -315,7 +314,7 @@ def find_certificate(p: PolygonalKnot) -> FindResult:
     scale = Fraction(p.vertices[1][d] - p.vertices[0][d]) / table[0][d]
     vectors = []
     evidence = []
-    for j, columns in enumerate(_signed_systems(table), start=1):
+    for j, columns in enumerate(_polygon_systems(p), start=1):
         cert = _decide(columns, scale.numerator, scale.denominator)
         if isinstance(cert, SeparatingDirection):
             evidence.append(ShiftEvidence(j if n % 2 else 0, cert.v))

@@ -28,108 +28,80 @@ from .search import SearchConfig, search
 _JSON_SCHEMA = 1
 
 
-def _emit(payload: dict, as_json: bool, text: str) -> None:
+def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        payload = {"schema": _JSON_SCHEMA, **payload}
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"schema": _JSON_SCHEMA, **payload}, indent=2))
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        print("\n".join(lines))
+
+
+def _result(knot, claim, **fields) -> dict:
+    """The ``--json`` record of one knot; it is verified exactly when it makes a claim."""
+    return {"knot": knot.name, "n": knot.n, "claim": claim, "verified": claim is not None, **fields}
 
 
 def _cmd_verify(args) -> int:
-    def check(path):
+    results, lines = [], []
+    for path in args.paths:
         doc = corpus.load_certificate_document(path)
         try:
             vb = corpus.verify_bundle(doc.knot, doc.bundle)
-            return {
-                "knot": doc.knot.name,
-                "n": doc.knot.n,
-                "claim": f"sb <= {vb.bound}",
-                "verified": True,
-            }
         except InvalidCertificate as exc:
-            return {
-                "knot": doc.knot.name,
-                "n": doc.knot.n,
-                "claim": None,
-                "verified": False,
-                "reason": str(exc),
-                "check": exc.check,
-            }
-
-    results = [check(p) for p in args.paths]
-    failures = 0
-    lines = []
-    for res in results:
-        if res["verified"]:
-            lines.append(f"{res['knot']}: certified {res['claim']}")
+            results.append(_result(doc.knot, None, reason=str(exc), check=exc.check))
+            lines.append(f"{doc.knot.name}: INVALID ({exc})")
         else:
-            failures += 1
-            lines.append(f"{res['knot']}: INVALID ({res['reason']})")
-    _emit({"results": results}, args.json, "\n".join(lines) + "\n")
-    return 1 if failures else 0
+            results.append(_result(doc.knot, f"sb <= {vb.bound}"))
+            lines.append(f"{doc.knot.name}: certified sb <= {vb.bound}")
+    _emit({"results": results}, args.json, lines)
+    return 0 if all(r["verified"] for r in results) else 1
 
 
 def _cmd_exact(args) -> int:
     knot = corpus.load_realization(args.path)
     result, hist = superbridge_census(knot)
-    value = result.value
     witness = [format_rational(c) for c in result.witness_direction.v]
-    text = (
-        f"knot: {knot.name}\n"
-        f"n: {knot.n}\n"
-        f"superbridge: {value}\n"
-        f"witness: {' '.join(witness)}\n"
-        f"patterns: {result.pattern_count}\n"
-        f"descent histogram: "
-        + " ".join(f"{d}:{c}" for d, c in hist.items())
+    lines = [
+        f"knot: {knot.name}",
+        f"n: {knot.n}",
+        f"superbridge: {result.value}",
+        f"witness: {' '.join(witness)}",
+        f"patterns: {result.pattern_count}",
+        "descent histogram: " + " ".join(f"{d}:{c}" for d, c in hist.items()),
+    ]
+    record = _result(
+        knot,
+        f"sb = {result.value}",
+        value=result.value,
+        witness=witness,
+        patterns=result.pattern_count,
+        descent_histogram={str(k): v for k, v in hist.items()},
     )
-    _emit(
-        {
-            "knot": knot.name,
-            "n": knot.n,
-            "claim": f"sb = {value}",
-            "verified": True,
-            "value": value,
-            "witness": witness,
-            "patterns": result.pattern_count,
-            "descent_histogram": {str(k): v for k, v in hist.items()},
-        },
-        args.json,
-        text,
-    )
+    _emit(record, args.json, lines)
     return 0
 
 
 def _cmd_find(args) -> int:
     knot = corpus.load_realization(args.path)
     found = find_certificate(knot)
+    # The text lines are built even under --json: int_text turns an integer
+    # past Python's digit limit into a SuperbridgeError before json.dumps.
     if found.found:
         bundle = found.bundle
+        claim = f"sb <= {knot.n // 2 - 1}"
         if bundle.vector is not None:
-            payload = {"u": list(bundle.vector)}
+            record = _result(knot, claim, u=list(bundle.vector))
         else:
-            payload = {"U": [list(r) for r in bundle.matrix]}
-        bound = knot.n // 2 - 1
-        _emit(
-            {"knot": knot.name, "n": knot.n, "claim": f"sb <= {bound}", "verified": True, **payload},
-            args.json,
-            "\n".join([f"{knot.name}: certificate for sb <= {bound}", *corpus.bundle_lines(bundle)]),
-        )
-        return 0
-    evid = [
-        {"system": ev.system, "direction": list(ev.direction)} for ev in found.evidence
-    ]
-    text_lines = [f"{knot.name}: no certificate; bound floor(n/2) = {jin_upper_bound(knot)} is attained"]
-    for ev in found.evidence:
-        text_lines.append(
+            record = _result(knot, claim, U=[list(r) for r in bundle.matrix])
+        lines = [f"{knot.name}: certificate for {claim}", *corpus.bundle_lines(bundle)]
+    else:
+        evidence = [{"system": ev.system, "direction": list(ev.direction)} for ev in found.evidence]
+        record = _result(knot, None, evidence=evidence)
+        lines = [f"{knot.name}: no certificate; bound floor(n/2) = {jin_upper_bound(knot)} is attained"]
+        lines += [
             f"  realizable shift {ev.system}: separating direction {' '.join(map(int_text, ev.direction))}"
-        )
-    _emit(
-        {"knot": knot.name, "n": knot.n, "claim": None, "verified": False, "evidence": evid},
-        args.json,
-        "\n".join(text_lines),
-    )
+            for ev in found.evidence
+        ]
+    _emit(record, args.json, lines)
     return 0
 
 

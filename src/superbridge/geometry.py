@@ -54,9 +54,10 @@ class PolygonalKnot:
     Vertices are ordered; the edge from the last vertex back to the first
     closes the cycle. At least three vertices, cyclically consecutive
     vertices distinct, and not all edges parallel (the curve must not lie
-    on a line). The validation computes the polygon's one integer edge
-    table, which ``integer_edges`` returns; it is a plain attribute, not a
-    field, so equality, hashing and repr see the fields only.
+    on a line). Both checks read the polygon's one integer edge table, whose
+    row i is zero exactly when vertex i equals vertex i + 1; ``integer_edges``
+    returns it. It is a plain attribute, not a field, so equality, hashing
+    and repr see the fields only.
     """
 
     name: str
@@ -67,12 +68,10 @@ class PolygonalKnot:
         n = len(self.vertices)
         if n < 3:
             raise DegeneratePolygon(f"{self.name}: need at least 3 vertices, got {n}")
-        for i in range(n):
-            if self.vertices[i] == self.vertices[(i + 1) % n]:
-                raise DegeneratePolygon(
-                    f"{self.name}: vertices {i} and {(i + 1) % n} coincide"
-                )
         table = _scaled_edges(self.vertices)
+        for i, e in enumerate(table):
+            if is_zero3(e):
+                raise DegeneratePolygon(f"{self.name}: vertices {i} and {(i + 1) % n} coincide")
         first, *rest = table
         if all(is_zero3(cross3(first, e)) for e in rest):
             raise DegeneratePolygon(f"{self.name}: all edges parallel (curve lies on a line)")
@@ -275,15 +274,22 @@ def normalize_pose(p: PolygonalKnot) -> PolygonalKnot:
     The first vertex goes to the origin, the second onto the positive
     x-axis, and the third into the xy-plane with positive y-coordinate.
     Used only for display and corpus comparison; certificate arithmetic
-    always runs on the raw exact coordinates.
+    always runs on the raw exact coordinates. A coordinate, norm or output
+    that is not a finite float raises SuperbridgeError.
     """
-    verts = [tuple(float(c) for c in v) for v in p.vertices]
+    too_large = f"{p.name}: coordinates too large for the floating-point pose"
+    try:
+        verts = [tuple(float(c) for c in v) for v in p.vertices]
+    except OverflowError:
+        raise SuperbridgeError(too_large) from None
     o = verts[0]
     a = tuple(verts[1][d] - o[d] for d in range(3))
     b = tuple(verts[2][d] - o[d] for d in range(3))
     zt = cross3(a, b)
     norm_a = math.sqrt(dot3(a, a))
     norm_z = math.sqrt(dot3(zt, zt))
+    if not (math.isfinite(norm_a) and math.isfinite(norm_z)):
+        raise SuperbridgeError(too_large)
     if norm_z <= POSE_TOLERANCE * max(norm_a, 1.0) ** 2:
         raise CollinearPrefix(f"{p.name}: first three vertices are collinear")
     xh = tuple(c / norm_a for c in a)
@@ -293,5 +299,7 @@ def normalize_pose(p: PolygonalKnot) -> PolygonalKnot:
     for v in verts:
         w = tuple(v[d] - o[d] for d in range(3))
         out.append((dot3(w, xh), dot3(w, yh), dot3(w, zh)))
+    if not all(math.isfinite(c) for w in out for c in w):
+        raise SuperbridgeError(too_large)
     coords = tuple(vec3(*(Fraction(c) for c in w)) for w in out)
     return PolygonalKnot(name=p.name, vertices=coords, provenance=p.provenance)

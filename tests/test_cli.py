@@ -294,6 +294,10 @@ _HUGE = "".join(
     for x, y, z in [(0, 0, 0), (_B, 2, 2 * _B), (_B, 2, 3), (2, _B + 1, _B), (_B, _B + 1, 0)]
 ).encode()
 
+# A float of 10^400 overflows; the squared norms of 10^170 do.
+_POSE_1E400 = f"0 0 0\n{10**400} 0 0\n0 1 0\n".encode()
+_POSE_1E170 = f"0 0 0\n{10**170} 0 0\n0 {10**170} 0\n0 0 {10**170}\n".encode()
+
 
 def _verify_with_line(cert: str, extra: str) -> tuple:
     """``sb verify`` on a shipped certificate with one line appended, which
@@ -325,7 +329,11 @@ _BAD_INPUTS = {
     "int.csv": ((_HEADER + "3_1,2,six,0,1,,,x\n").encode(), ["table", "--metadata"], ":2: "),
     "latin1.csv": (_HEADER.encode() + b"3_1,2,6,0,1,,,caf\xe9\n", ["table", "--metadata"], ":2: "),
     "huge_exact.txt": (_HUGE, ["exact"], ""),
+    "huge_exact_json.txt": (_HUGE, ["exact", "--json"], ""),
     "huge_find.txt": (_HUGE, ["find"], ""),
+    "huge_find_json.txt": (_HUGE, ["find", "--json"], ""),
+    "pose_1e400.txt": (_POSE_1E400, ["normalize", "--pose"], ""),
+    "pose_1e170.txt": (_POSE_1E170, ["normalize", "--pose"], ""),
     "huge_digits.txt": (b"0 0 0\n1/3 0 0\n0 1/3 0\n0 0 1/3\n", ["normalize", "--digits", "5000"], ""),
     "radius_word": (None, [*_SEARCH, "--radius", "abc", "--out"], ""),
     "radius_zero": (None, [*_SEARCH, "--radius", "0", "--out"], ""),
@@ -379,6 +387,48 @@ def test_closed_stdout_exits_1_silently(argv, package_env):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_pose_on_large_coordinates_is_not_called_collinear(tmp_path, capsys):
+    """The right-angled 10^170 polygon fails on size, not as collinear."""
+    path = tmp_path / "pose.txt"
+    path.write_bytes(_POSE_1E170)
+    assert main(["normalize", "--pose", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "collinear" not in err
+    assert err == "error: pose: coordinates too large for the floating-point pose\n"
+
+
+def test_json_records_are_verified_exactly_when_they_claim(tmp_path, capsys):
+    """Every ``--json`` record of ``sb verify``, ``exact`` and ``find`` starts
+    with knot, n, claim, verified, and ``verified`` is ``claim is not None``:
+    on every shipped realization and certificate, a tampered certificate and
+    a polygon whose search yields evidence."""
+    tampered = tmp_path / "9_22.cert"
+    tampered.write_text(
+        (data_root() / "certificates" / "9_22.cert").read_text(encoding="utf-8").replace("u: 1", "u: 2", 1)
+    )
+    skew = tmp_path / "skew.txt"
+    skew.write_text("0 0 0\n1 0 1\n1 1 0\n0 1 1\n")
+    certs = sorted(map(str, (data_root() / "certificates").glob("*.cert")))
+    coords = [*sorted(map(str, (data_root() / "realizations").glob("*.txt"))), str(skew)]
+    records = {"verify": [], "exact": [], "find": []}
+    for path in [*certs, str(tampered)]:
+        main(["verify", path, "--json"])
+        records["verify"] += json.loads(capsys.readouterr().out)["results"]
+    for command in ("exact", "find"):
+        for path in coords:
+            assert main([command, path, "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload.pop("schema") == 1
+            records[command].append(payload)
+    assert [len(r) for r in records.values()] == [21, 23, 23]
+    for command, recs in records.items():
+        for rec in recs:
+            assert list(rec)[:4] == ["knot", "n", "claim", "verified"], (command, rec)
+            assert rec["verified"] == (rec["claim"] is not None), (command, rec)
+    assert [r["verified"] for r in records["verify"]] == [True] * 20 + [False]
+    assert not records["find"][-1]["verified"] and records["find"][-1]["evidence"]
 
 
 def test_radius_below_half_fails_within_a_second(tmp_path, capsys):

@@ -28,6 +28,7 @@ from superbridge.geometry import (
     _scaled_edges,
     integer_edges,
 )
+from superbridge.linalg import SuperbridgeError
 from superbridge.linalg import primitive_vector
 
 
@@ -391,6 +392,20 @@ class TestNormalizePose:
         )
         with pytest.raises(CollinearPrefix):
             normalize_pose(p)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [(0, 0, 0), (10**400, 0, 0), (0, 1, 0)],  # a coordinate
+            [(0, 0, 0), (10**170, 0, 0), (0, 10**170, 0), (0, 0, 10**170)],  # a norm
+            [(0, 0, 0), (1, 1, 0), (-1, 1, 0), (17 * 10**307, 17 * 10**307, 0)],  # an output
+        ],
+    )
+    def test_float_overflow_is_a_typed_error(self, coords):
+        p = PolygonalKnot.from_coordinates("big", coords)
+        with pytest.raises(SuperbridgeError, match="big: coordinates too large") as info:
+            normalize_pose(p)
+        assert not isinstance(info.value, CollinearPrefix)
 
     def test_convention_holds(self, skew_quad):
         out = normalize_pose(skew_quad)
