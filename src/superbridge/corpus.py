@@ -41,12 +41,15 @@ def _content_lines(path):
 
 
 def _vertex_row(path, line_no: int, line: str) -> tuple:
-    """Three rational coordinates from one vertex line."""
+    """Three rational coordinates from one vertex line; an ASCII ``[+-]?[0-9]+``
+    token is read by ``int``, with the value or error ``rational`` gives it."""
     parts = line.split()
     if len(parts) != 3:
         raise ParseError(path, line_no, f"expected 3 coordinates, got {len(parts)}")
     try:
-        return tuple(rational(tok) for tok in parts)
+        return tuple(
+            rational(int(t) if t.isascii() and t[t[0] in "+-" :].isdigit() else t) for t in parts
+        )
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(path, line_no, f"bad coordinate: {exc}") from exc
 

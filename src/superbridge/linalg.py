@@ -85,11 +85,11 @@ def primitive_vector(v: Iterable[Rational]) -> tuple[int, ...]:
     This is the package's one denominator-clearing step. Every entry is
     multiplied by the same positive rational, so signs, zeros and every
     homogeneous linear equation in the entries are preserved. The zero
-    vector maps to itself. Entries that are all of type ``int`` go straight
-    to the gcd; anything else (bools too) is coerced through ``rational``.
+    vector maps to itself. All-``int`` entries (one C-level set of types)
+    go straight to the gcd; anything else, bools too, goes via ``rational``.
     """
     ints = tuple(v)
-    if not all(type(x) is int for x in ints):
+    if set(map(type, ints)) != {int}:
         fracs = [rational(x) for x in ints]
         scale = lcm(*(f.denominator for f in fracs))
         ints = tuple(f.numerator * (scale // f.denominator) for f in fracs)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import pickle
@@ -15,8 +16,10 @@ from superbridge import (
     DegeneratePolygon,
     InvalidCertificate,
     PolygonalKnot,
+    VerifiedBound,
     build_even_system,
     build_odd_systems,
+    corpus_entries,
     edge_vectors,
     find_certificate,
     quantize,
@@ -40,6 +43,8 @@ from superbridge.corpus import (
     save_certificate_document,
 )
 from superbridge.geometry import KnotTypePreservationWarning, integer_edges
+from superbridge.gordan import null_vector_failure
+from superbridge.linalg import primitive_vector
 
 
 class TestEvenSystem:
@@ -480,10 +485,10 @@ class TestBundleType:
         assert b.column(1) == (2, 4)
 
 
-def _outcome(p: PolygonalKnot, bundle: CertificateBundle) -> list:
-    """What ``verify_bundle`` says about a bundle: the bound or the diagnosis."""
+def _outcome(p: PolygonalKnot, bundle: CertificateBundle, verify=verify_bundle) -> list:
+    """What ``verify`` says about a bundle: the bound or the diagnosis."""
     try:
-        vb = verify_bundle(p, bundle)
+        vb = verify(p, bundle)
     except InvalidCertificate as exc:
         return ["rejected", exc.check, str(exc), exc.column, list(exc.systems)]
     return ["verified", vb.knot, vb.n, vb.bound, [list(a) for a in vb.assignment]]
@@ -572,3 +577,130 @@ def test_signed_systems_follow_the_vertices_of_every_copy(corpus, name):
             assert _outcome(q, bundle) == _outcome(fresh, bundle)
     assert _outcome(copies[2], other.certificate)[0] == "verified"
     assert _outcome(copies[2], entry.certificate)[0] == "rejected"
+
+
+def _reference_verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBound:
+    """Reference for ``verify_odd_bundle``: each candidate goes through
+    ``null_vector_failure`` on the system's columns, which checks the
+    candidate's signs and transposes the columns every time."""
+    n = p.n
+    if n % 2 != 1:
+        raise EvenEdgeCount(f"{p.name}: edge count {n} is even")
+    if bundle.matrix is None:
+        raise InvalidCertificate("dimension", f"{p.name}: odd edge count needs a matrix bundle")
+    if bundle.size != n:
+        raise InvalidCertificate(
+            "dimension", f"{p.name}: bundle is {bundle.size}x{bundle.size}, edges {n}"
+        )
+    systems = [columns for columns, _ in _signed_systems(integer_edges(p))]
+    columns = [primitive_vector(col) for col in zip(*bundle.matrix)]
+
+    def failure(j: int, c: int, r: int):
+        col = columns[c]
+        return null_vector_failure(systems[j - 1], col[n - r :] + col[: n - r])
+
+    assignment = []
+    uncovered = []
+    for j in range(1, n + 1):
+        for c, r in ((j - 1, 0), published_column_for_system(n, j)):
+            if failure(j, c, r) is None:
+                assignment.append((j, c, r))
+                break
+        else:
+            uncovered.append(j)
+    if uncovered:
+        j = uncovered[0]
+        c, r = published_column_for_system(n, j)
+        raise InvalidCertificate(
+            "uncovered_system",
+            f"{p.name}: no valid null vector for shifted system(s) {uncovered}; "
+            f"published-layout column {c} fails check '{failure(j, c, r)}' for system {j}",
+            column=c,
+            systems=tuple(uncovered),
+        )
+    return VerifiedBound(knot=p.name, n=n, bound=n // 2 - 1, assignment=tuple(assignment))
+
+
+#: A 5-gon whose edges, signed as in E_1, sum to zero: the all-ones vector
+#: is a null vector of E_1 in every rotation, so with it in column 0 both
+#: candidates of system 1 verify.
+_ONES_5_GON = ((0, 0, 0), (-2, 0, 0), (-6, -4, 0), (-2, -10, 0), (2, -6, 0))
+
+
+def _with_ones_column(p: PolygonalKnot) -> CertificateBundle:
+    matrix = find_certificate(p).bundle.matrix
+    return CertificateBundle(matrix=tuple((1, *row[1:]) for row in matrix))
+
+
+@functools.lru_cache(maxsize=None)
+def _odd_bases() -> tuple:
+    """(polygon, bundle) pairs: the shipped odd bundles (published layout),
+    ``find_certificate`` bundles of odd sampler polygons (direct layout) and
+    the ones 5-gon's bundle with both candidates of system 1 valid."""
+    bases = [
+        (e.knot, e.certificate)
+        for e in corpus_entries()
+        if e.certificate is not None and e.certificate.matrix is not None
+    ]
+    for n, k in ((7, 3), (9, 0), (11, 1), (13, 0), (15, 0)):
+        p = random_equilateral_polygon(n, 3, random.Random(f"odd:{n}:{k}"))
+        bases.append((p, find_certificate(p).bundle))
+    ones = PolygonalKnot.from_coordinates("ones", _ONES_5_GON)
+    bases.append((ones, _with_ones_column(ones)))
+    return tuple(bases)
+
+
+def test_direct_candidate_is_tried_before_the_published_one():
+    p = PolygonalKnot.from_coordinates("ones", _ONES_5_GON)
+    signed = [[shift_sign(5, 1, i) * x for x in e] for i, e in enumerate(edge_vectors(p).edges)]
+    assert [sum(row) for row in zip(*signed)] == [0, 0, 0]
+    vb = verify_odd_bundle(p, _with_ones_column(p))
+    assert vb.assignment == tuple((j, j - 1, 0) for j in range(1, 6))
+
+
+@st.composite
+def _odd_bundle_cases(draw):
+    """A base bundle re-laid out per pair of systems, half the time
+    tampered, with some columns in another entry form (a bool column is
+    read as 0/1 entries, the others keep their values).
+
+    System j's direct column j - 1 is the published column of system
+    j' = 2 - j (mod n), so each pair {j, j'} takes one layout together."""
+    p, base = draw(st.sampled_from(_odd_bases()))
+    n = p.n
+    vectors = {}
+    for j, c, r in _reference_verify_odd_bundle(p, base).assignment:
+        col = base.column(c)
+        vectors[j] = col[n - r :] + col[: n - r]
+    columns = [list(base.column(c)) for c in range(n)]
+    for j in range(1, n + 1):
+        pair = {j, (1 - j) % n + 1}
+        if min(pair) != j:
+            continue
+        direct = draw(st.booleans())
+        for i in pair:
+            c, r = (i - 1, 0) if direct else published_column_for_system(n, i)
+            columns[c] = list(vectors[i][r:] + vectors[i][:r])
+    index = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            columns = draw(st.permutations(columns))
+        for r, c, delta in draw(st.lists(st.tuples(index, index, st.integers(-3, 3)), max_size=3)):
+            columns[c][r] += delta
+        for c in draw(st.lists(index, max_size=2)):
+            columns[c] = [-x for x in columns[c]]
+        for c in draw(st.lists(index, max_size=1)):
+            columns[c] = [0] * n
+    form = _ENTRY_FORMS[draw(st.sampled_from(sorted(_ENTRY_FORMS)))][0]
+    for c in draw(st.lists(index, max_size=3)):
+        columns[c] = [form(x) for x in columns[c]]
+    return p, CertificateBundle(matrix=tuple(zip(*columns)))
+
+
+@given(case=_odd_bundle_cases())
+@settings(max_examples=300, deadline=None)
+def test_odd_bundle_verdicts_match_the_reference_verifier(case):
+    """Every verdict, assignment and diagnostic of ``verify_odd_bundle`` is
+    the reference's, on re-laid-out, permuted and tampered bundles."""
+    p, bundle = case
+    assert _outcome(p, bundle) == _outcome(p, bundle, _reference_verify_odd_bundle)

