@@ -10,8 +10,10 @@ change's ``BENCHMARK.json``) and write their result files to a temporary
 directory. For every end-to-end metric of ``BENCHMARK.json`` it prints one
 line: the median and quartiles of each side, the number of pairs (same
 seed) in which the change was strictly better, and the median gain against
-the parent's interquartile range. Exit status 1 if any run failed or
-reported a wrong answer.
+the parent's interquartile range. The ``peak_rss_mb`` line also gives
+each side's median number of timed passes, since the benchmark keeps every
+pass and its peak memory grows with them. Exit status 1 if any run failed
+or reported a wrong answer.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, out: Path
               f"{'no result' if result is None else 'wrong answers'}\n{proc.stderr}",
               file=sys.stderr)
         return None
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    passes = json.loads(out.read_text(encoding="utf-8"))["passes"]
+    return {"passes": passes, **{name: m["value"] for name, m in result["metrics"].items()}}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -86,11 +89,16 @@ def main(argv=None) -> int:
                 won = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
                 bq, aq = quartiles(before), quartiles(after)
                 gain = (bq[1] - aq[1]) if lower else (aq[1] - bq[1])
+                # The benchmark keeps every pass, so its peak RSS grows with
+                # the passes that fit in a run: print those beside it.
+                passes = "" if name != "peak_rss_mb" else (
+                    " passes parent %g change %g" % tuple(
+                        statistics.median(r["passes"] for r in side) for side in zip(*pairs)))
                 print(f"{workload} {name} [{metric['unit']}, {metric['better']}] "
                       f"parent {bq[1]:.4g} ({bq[0]:.4g}..{bq[2]:.4g}) "
                       f"change {aq[1]:.4g} ({aq[0]:.4g}..{aq[2]:.4g}) "
-                      f"won {won}/{len(pairs)} gain {gain:.4g} parent-iqr {bq[2] - bq[0]:.4g}",
-                      flush=True)
+                      f"won {won}/{len(pairs)} gain {gain:.4g} parent-iqr {bq[2] - bq[0]:.4g}"
+                      f"{passes}", flush=True)
     return 0 if ok else 1
 
 

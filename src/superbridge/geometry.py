@@ -187,11 +187,36 @@ def integer_edges(p: PolygonalKnot) -> tuple[tuple[int, int, int], ...]:
     return p._integer_edges
 
 
+#: Bit length of the vertices' common denominator above which
+#: ``_scaled_edges`` reads the gcd of its differences off the reduced edges.
+#: Sampler polygons (about 30 bits) and integer files (1) stay below it.
+_PLAIN_GCD_BITS = 8192
+
+
 def _scaled_edges(vertices: Sequence[Vec3]) -> tuple[tuple[int, int, int], ...]:
+    """The table of ``integer_edges``: vertices times the lcm L of their
+    denominators, differenced, divided by the gcd of the differences.
+
+    That gcd costs time quadratic in the size of L. For a large L it is
+    computed as (L // M) * G instead, with M the lcm of the reduced edge
+    coordinates' denominators and G the gcd of their numerators. For a
+    prime dividing M, some edge denominator holds it to M's power and that
+    edge's numerator is prime to it, so the differences L * e share exactly
+    its power in L // M, and any other prime to its power in L * G. Each
+    step of M and G is a gcd against one edge's entry, not against a
+    number of L's size.
+    """
     coords = [c for v in vertices for c in v]
     scale = math.lcm(*(c.denominator for c in coords))
     ints = [c.numerator * (scale // c.denominator) for c in coords]
-    diffs = primitive_vector([b - a for a, b in zip(ints, ints[3:] + ints[:3])])
+    diffs = [b - a for a, b in zip(ints, ints[3:] + ints[:3])]
+    if scale.bit_length() <= _PLAIN_GCD_BITS:
+        diffs = primitive_vector(diffs)
+    else:
+        edges = [b - a for a, b in zip(coords, coords[3:] + coords[:3])]
+        g = scale // math.lcm(*(e.denominator for e in edges))
+        g *= math.gcd(*(e.numerator for e in edges)) or 1
+        diffs = tuple(d // g for d in diffs)
     return tuple(diffs[i : i + 3] for i in range(0, len(diffs), 3))
 
 

@@ -29,9 +29,12 @@ from superbridge import (
     verify_odd_bundle,
     verify_separating,
 )
+from superbridge import certificates
 from superbridge.certificates import (
     EvenEdgeCount,
+    FindResult,
     OddEdgeCount,
+    ShiftEvidence,
     _polygon_systems,
     _signed_systems,
     published_column_for_system,
@@ -43,7 +46,7 @@ from superbridge.corpus import (
     save_certificate_document,
 )
 from superbridge.geometry import KnotTypePreservationWarning, integer_edges
-from superbridge.gordan import null_vector_failure
+from superbridge.gordan import SeparatingDirection, _decide, null_vector_failure
 from superbridge.linalg import primitive_vector
 
 
@@ -383,28 +386,29 @@ def _find_digest(p: PolygonalKnot) -> str:
 
 # Digests of what a rational simplex tableau returns: an integer tableau
 # that makes the same Bland choices returns every bundle and direction unchanged.
+# Odd bundles were recorded once a shift reused the previous shift's null vector.
 FIND_DIGESTS = {
-    "9_3": "4736761eb0eb298fd7f692cfb7929d95550f0b5c21c58a04bf037b4b192d7e7f",
-    "9_4": "449b298bd1988b76f07e05cf227204d9776c6be5883e18155ebac0199dfd0ba4",
-    "9_6": "dfaa21edcd9f8b2e37af2ad25c4c0b358898e10e0853d846ae6e68de5b13e805",
-    "9_9": "296011e3d87f074b7d6433e8f0cf605cc45fe0b67a79a9987ac14c45d7f9987c",
-    "9_11": "b42e4f38486689701dca6c3a88a23ca596fc722bee14fb9a9e1dd8b9df589113",
-    "9_13": "b15e507f1e2720343cc124358edcb7376806f2031ceffa0a966fa4de2f7565da",
-    "9_17": "37b37d473596cdcd4dddd441c9185316ebccaed9a03c6db846a8794f0a32cfb1",
-    "9_18": "c24215d24b0188a4a11591b33fdfb1093c26bf48497fd64939b85805c8705e94",
+    "9_3": "9b217c19f4dbad44799280ec106bc4b392d4dfffd5b4e7c2dbe80ee6a12e5905",
+    "9_4": "f5b69876e0f31f82ea3d04720b913d35a43c94b5172f9aa64ae984e0f569a5b8",
+    "9_6": "4638136836bcd1656209c7143fb1413d47d11a811e07c358879c0dd6e6abb452",
+    "9_9": "f0f2248d68bee46d971eefe7ef48c63a13f8579c919425f0ffb0227b731f1025",
+    "9_11": "4730d561db10750cd80fd20b8422723d12e2b47eca1efca31d7b6b7c4af879b1",
+    "9_13": "afb23333d605105604314dc2b3041de0ce5318e5c0f2a752bd88d6be11e2fa4f",
+    "9_17": "939b77f6ad7e263f738fe29a3edc7d3c4df5685ef89f7ba5807de54afe47a5cb",
+    "9_18": "2d46b20cc4954f4b9ec49747d70f0c2a2b6e91f6e7c4ae964c9dca86c7a989c2",
     "9_22": "fb17f6183e62f08f62c4dfa687e3b58915f6840e3ce585c6c358c472fdde5628",
-    "9_23": "ab44d83d9eaa755984e4a4a01629720c66095cc3d6236c6fb45f8b18cf075730",
-    "9_25": "84131baaf16092fdb8afb43e7da1dc802dbb6c6bc70cae105cbf61dee7416c61",
-    "9_27": "39921f7451996617265defc06b65c08c13919aedcf598f88cb304fc246a4cbd3",
-    "9_30": "c8c0bbc524e669f208e4bf666cfb8f6caf4eec64aa20212fa5f63c8b2c99555e",
-    "9_31": "e316c17fe6dfaa21bf7a6e9b01f535c66d956efcfd6a3a6c1f3f9e3343b62fad",
-    "9_36": "3b56c139319860cdeaf5cad335f910193c80813eac7509774dc642cf2baf847b",
+    "9_23": "7213ebf5a94e4e6bf7cbfb0340e75b60bdf58b2079d1c86e771817cc11ee7396",
+    "9_25": "4c516662cc62cb6cd1bbb58a97bcdfd9b355baa03beb621604cb3b5984d46e54",
+    "9_27": "1c1c2b481ddfe2963dc78ce3ffcf5165e5b710cb94631d10e56fa694e4d4d4ce",
+    "9_30": "c8e9f6c0e58c8cd6fd1244a817bbdac99ce6a56d867d0032a20dd28bf1ca2b16",
+    "9_31": "fe4e61e0d1d79c1fc0cd21719e584c0bdd3c91e081b67056589d23301356db84",
+    "9_36": "323b1b05cd33148bd9817ac67bf014df7efe5fc2d0dd4df8670489d5cd1619cb",
     "11n_72": "118cb224fc500ccd46aecacdcebb5f532f50c941af3df0a30873279fa8d080ed",
     "11n_77": "67df123dd8b1212e63ee81b714253c14c522803ba3df79d49088ce268982504d",
     "12n_60": "44ef8d7474de1ffde50fa8923f443945b0c1768a1bf02c32d6ed58722b679987",
-    "12n_66": "48ebabe805e7a33819f0f74ee41c3b2d300a69068c86c690b6555a4ee260dde2",
+    "12n_66": "3bce9e9dfba8c1c224b72df8905faf407c932b08394eeebb3ee448d766ee6eb4",
     "12n_219": "10a0ec52db5792775f8cb822ca2ab46e275accfef4e74acbd3f1655d19dd2e88",
-    "12n_225": "ab1e5f3aa8a7a5d4cd1749c56cf38d812c3c1e6b0b4b2d0b2cf865c38fd1d3b0",
+    "12n_225": "2eec5aab8bfe0f8a0438085c8d4cecb9cdb4e6b79f7d36c0bd1cd9c96c5e4d3d",
     "12n_553": "dde695c22f033ad4e6e815c16725aa1266c174a603c98b71c89198f347ce90be",
 }
 
@@ -416,20 +420,110 @@ def test_find_certificate_pinned_on_every_realization(corpus):
 # sha256 of repr(find_certificate(p)) over three sets, in order: one sampler
 # polygon (radius 3, raw 2^24-grid rationals) for each n = 3..31, the same
 # polygons quantized to 3 digits, then the 22 realizations by name. Recorded
-# while every system was still decided from Fraction edge vectors.
-FIND_REPR_DIGEST = "11ef9a318ab5802df2fbc2d8c6f9f7f2601257237835ad9f815c4fcc9ac7802a"
+# once odd shifts reused the previous shift's null vector.
+FIND_REPR_DIGEST = "740ea25beb93d8feb156f57f610bb52caedf9b2124deb7b861193c074e45808f"
 
 
-def test_find_certificate_pinned_on_sampler_polygons(corpus):
+def _sampler_polygons() -> list:
+    """One radius-3 sampler polygon for each n = 3..31, then each quantized."""
     raw = [random_equilateral_polygon(n, 3, random.Random(f"find:{n}")) for n in range(3, 32)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", KnotTypePreservationWarning)
-        quantized = [quantize(p, digits=3) for p in raw]
-    knots = raw + quantized + [corpus[name].knot for name in sorted(corpus)]
+        return raw + [quantize(p, digits=3) for p in raw]
+
+
+def test_find_certificate_pinned_on_sampler_polygons(corpus):
+    knots = _sampler_polygons() + [corpus[name].knot for name in sorted(corpus)]
     h = hashlib.sha256()
     for p in knots:
         h.update(repr(find_certificate(p)).encode())
     assert h.hexdigest() == FIND_REPR_DIGEST
+
+
+def _reference_find_certificate(p: PolygonalKnot) -> FindResult:
+    """``find_certificate`` as it was before odd shifts reused null vectors:
+    ``_decide`` on every system."""
+    table = integer_edges(p)
+    d = next(d for d in range(3) if table[0][d])
+    scale = Fraction(p.vertices[1][d] - p.vertices[0][d]) / table[0][d]
+    vectors, evidence = [], []
+    for j, (columns, _) in enumerate(_polygon_systems(p), start=1):
+        cert = _decide(columns, scale.numerator, scale.denominator)
+        if isinstance(cert, SeparatingDirection):
+            evidence.append(ShiftEvidence(j if p.n % 2 else 0, cert.v))
+        else:
+            vectors.append(cert.u)
+    if evidence:
+        return FindResult(bundle=None, evidence=tuple(evidence))
+    if p.n % 2 == 0:
+        return FindResult(bundle=CertificateBundle(vector=vectors[0]))
+    return FindResult(bundle=CertificateBundle(matrix=tuple(zip(*vectors))))
+
+
+def _decide_calls(p: PolygonalKnot) -> tuple[FindResult, int]:
+    """``find_certificate(p)`` and the number of simplex runs it made."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _decide(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(certificates, "_decide", counted)
+        found = find_certificate(p)
+    return found, len(calls)
+
+
+def _check_against_reference(p: PolygonalKnot) -> tuple[FindResult, int]:
+    """Same ``found`` and evidence as the reference; a found bundle verifies
+    in the direct layout. Returns the result and its simplex runs."""
+    found, calls = _decide_calls(p)
+    reference = _reference_find_certificate(p)
+    assert (found.found, found.evidence) == (reference.found, reference.evidence), p.name
+    if found.found:
+        vb = verify_bundle(p, found.bundle)
+        if p.n % 2:
+            assert vb.assignment == tuple((j, j - 1, 0) for j in range(1, p.n + 1)), p.name
+    return found, calls
+
+
+def test_find_certificate_matches_the_reference_on_pinned_polygons(corpus):
+    """On the 22 realizations and the 58 pinned sampler polygons, found and
+    evidence equal the from-scratch reference. The fixtures include evidence,
+    and odd bundles where a carried vector fails and the system is decided
+    from scratch (more than one simplex run)."""
+    knots = [corpus[name].knot for name in sorted(corpus)] + _sampler_polygons()
+    with_evidence = fallbacks = 0
+    for p in knots:
+        found, calls = _check_against_reference(p)
+        with_evidence += bool(found.evidence)
+        fallbacks += found.found and p.n % 2 == 1 and calls > 1
+    assert with_evidence and fallbacks
+
+
+def test_find_certificate_reuses_null_vectors_on_the_realizations(corpus):
+    """Exactly 90 simplex runs on the 22 realizations; deciding every system
+    from scratch makes 206."""
+    assert sum(_decide_calls(e.knot)[1] for e in corpus.values()) == 90
+    assert sum(len(_polygon_systems(e.knot)) for e in corpus.values()) == 206
+
+
+@given(
+    n=st.integers(2, 15).map(lambda k: 2 * k + 1),
+    seed=st.integers(0, 2**32),
+    quantized=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_find_certificate_matches_the_reference_on_odd_sampler_polygons(n, seed, quantized):
+    p = random_equilateral_polygon(n, 3, random.Random(seed))
+    if quantized:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KnotTypePreservationWarning)
+            try:
+                p = quantize(p, digits=3)
+            except DegeneratePolygon:
+                assume(False)
+    _check_against_reference(p)
 
 
 class TestSoundnessLinks:

@@ -119,8 +119,8 @@ class TestFind:
 
 
 # sha256 of the stdout of ``sb find`` (text) on each realization, in name order,
-# recorded while the command still formatted bundles itself.
-FIND_TEXT_DIGEST = "2b85e53591e62613f98fe6a16e0667647e72e15b1aa66cee548c571f2ae26df5"
+# recorded once odd shifts reused the previous shift's null vector.
+FIND_TEXT_DIGEST = "9dd57b7de26db236aa78b6cdaed32ae0bb273f546de53dfbb12929e21f9bccc6"
 
 
 class TestTable:

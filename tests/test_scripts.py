@@ -46,6 +46,23 @@ def test_paired_bench_against_itself(package_env):
     assert all("won " in ln for ln in lines)
 
 
+def test_paired_bench_gives_pass_counts_beside_peak_rss(package_env):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "paired_bench.py"), str(ROOT), str(ROOT),
+         "--seconds", "1", "--seeds", "1", "2", "--workloads", "ensemble"],
+        env=package_env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for ln in proc.stdout.splitlines():
+        if ln.startswith("#"):
+            continue
+        counts = ln.partition(" passes ")[2].split()
+        if ln.split()[1] == "peak_rss_mb":
+            assert counts[0::2] == ["parent", "change"] and all(float(c) >= 1 for c in counts[1::2]), ln
+        else:
+            assert not counts, ln
+
+
 def test_compare_outputs_against_itself(package_env):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), str(ROOT), str(ROOT)],
