@@ -9,14 +9,13 @@ pattern is unrealizable. For even n a single vector u suffices; for odd n
 a bundle with one vector per cyclic shift certifies the bound
 sb <= floor(n/2) - 1. One sign rule, ``shift_sign``, signs the columns of
 every system, and both verification and certificate search build them
-straight from the polygon's integer edge table; the search reads the
-table's scale once per polygon, not once per system. A polygon's systems
-are signed once and kept on the polygon, as the polygon keeps its edge
-table, so each later check or search of the same polygon object skips the
-signing. Each system's rows are kept beside its columns: an odd bundle's
-columns are gathered by one transpose and sign-checked once each, and a
-candidate costs a rotation by slicing and one C-level sum per row (the
-``certify`` benchmark's pass time fell 22 % in ten paired runs).
+straight from the polygon's integer edge table, so a certificate search
+depends only on the polygon's shape: rescaled or translated coordinates
+give the same table and the same result. A polygon's systems are signed
+once and kept on the polygon, as the polygon keeps its edge table. Each
+system's rows are kept beside its columns: an odd bundle's columns are
+gathered by one transpose and sign-checked once each, and a candidate
+costs a rotation by slicing and one C-level sum per row.
 
 Odd shifted systems share null vectors. E_(j+1) is -E_j with the one
 column (n - j) mod n left unnegated, so a null vector of E_j that is 0 in
@@ -41,7 +40,6 @@ candidates, direct first, and verifies each exactly; any other arrangement
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .geometry import EdgeVectors, PolygonalKnot, integer_edges
@@ -320,18 +318,9 @@ def find_certificate(p: PolygonalKnot) -> FindResult:
     alternative a system with a null vector has no separating direction,
     so every realizable shift fails the test and is decided from scratch,
     as before. On the 22 realizations this cuts the simplex runs from 206
-    to 90.
-
-    Every system is decided on the signed integer edge table B with the
-    polygon's one scale (edges = scale * B), read once from edge 0.
-    Negating columns changes neither the table's gcd nor that ratio, so each
-    system is read exactly as ``gordan_decide`` reads its Fraction matrix,
-    and pivots the same.
+    to 90. Each system is decided as it is, coprime signed integer edges.
     """
     n = p.n
-    table = integer_edges(p)
-    d = next(d for d in range(3) if table[0][d])
-    scale = Fraction(p.vertices[1][d] - p.vertices[0][d]) / table[0][d]
     vectors = []
     evidence = []
     prev = None
@@ -339,7 +328,7 @@ def find_certificate(p: PolygonalKnot) -> FindResult:
         if prev is not None and _residual_failure(rows, prev) is None:
             vectors.append(prev)
             continue
-        cert = _decide(columns, scale.numerator, scale.denominator)
+        cert = _decide(columns)
         if isinstance(cert, SeparatingDirection):
             evidence.append(ShiftEvidence(j if n % 2 else 0, cert.v))
             prev = None

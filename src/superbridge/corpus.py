@@ -50,7 +50,7 @@ def _vertex_row(path, line_no: int, line: str) -> tuple:
         return tuple(
             rational(int(t) if t.isascii() and t[t[0] in "+-" :].isdigit() else t) for t in parts
         )
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ParseError(path, line_no, f"bad coordinate: {exc}") from exc
 
 

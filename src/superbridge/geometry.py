@@ -84,6 +84,9 @@ class PolygonalKnot:
         coordinates: Sequence[Sequence[Rational]],
         provenance: str = "",
     ) -> "PolygonalKnot":
+        for i, row in enumerate(coordinates):
+            if len(row) != 3:
+                raise SuperbridgeError(f"{name}: vertex {i} has {len(row)} coordinates, expected 3")
         verts = tuple(vec3(*row) for row in coordinates)
         return cls(name=name, vertices=verts, provenance=provenance)
 
@@ -271,8 +274,6 @@ def quantize(p: PolygonalKnot, digits: int = 3) -> PolygonalKnot:
         scale = Fraction(1)
     else:
         largest = max(abs(c) for v in anchored for c in v)
-        if largest == 0:
-            raise DegeneratePolygon("all vertices coincide")
         # Smallest k with largest * 10^k >= 10^(digits-1); then the value
         # is also < 10^digits, giving exactly `digits` significant digits.
         k = 0

@@ -9,17 +9,15 @@ For a rational 3 x l matrix A, exactly one of the following holds:
 an exact phase-one simplex on ``{u >= 0 : A u = 0, sum(u) = 1}`` with
 Bland's anti-cycling rule. Infeasibility yields dual multipliers from
 which the separating direction is read off. Every certificate is verified
-in exact arithmetic before being returned. The matrix is read once as
-A = (p/q) B with B coprime integer columns. The simplex runs in revised
-form: it keeps each row's block on the four artificial columns (a row of
-the basis inverse) in integers, prices a column of B only when Bland's
-scan reaches it, and ``_phase_one`` says why its choices are those of the
-full rational tableau. Both rechecks run on B.
+in exact arithmetic before being returned. Only B, the positive multiple
+of A whose entries are coprime integers, is decided, so the answer
+depends on A only up to a positive scale. The simplex runs in revised
+form: it keeps each row of the basis inverse in integers and prices a
+column of B only when Bland's scan reaches it.
 
 ``null_vector_failure`` is the package's one null-vector check: a sign check
 and a residual check on rows, each one pass at C level, which the simplex
-recheck uses and certificate verifiers call on rows kept on the polygon
-(``certify`` pass time −22 % against a transpose per candidate, ten pairs).
+recheck uses and certificate verifiers call on rows kept on the polygon.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from math import gcd
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .linalg import SuperbridgeError, Vec3, dot3, primitive_vector, rational
+from .linalg import NotRational, SuperbridgeError, Vec3, dot3, primitive_vector, rational
 
 
 class DimensionMismatch(SuperbridgeError):
@@ -95,7 +93,7 @@ def _exact(x: Sequence, size: int, mismatch: str) -> list[Fraction]:
         raise DimensionMismatch(mismatch.format(len(x), size))
     try:
         return [rational(e) for e in x]
-    except (ValueError, ZeroDivisionError):
+    except NotRational:
         raise SuperbridgeError(f"entries must be rational numbers, got {list(x)!r}") from None
 
 
@@ -141,16 +139,13 @@ def gordan_decide(a: GordanMatrix) -> Certificate:
     Deterministic: the simplex uses Bland's rule throughout. The recheck
     of the certificate is an explicit raise, so ``python -O`` keeps it.
     """
-    return _decide(*_integer_columns(a))
+    b = primitive_vector(x for col in a.columns for x in col)
+    return _decide(tuple(zip(b[0::3], b[1::3], b[2::3])))
 
 
-def _decide(cols: tuple[tuple[int, ...], ...], p: int, q: int) -> Certificate:
-    """``gordan_decide`` on the matrix A = (p/q) B read as B = ``cols``.
-
-    B must be coprime integer columns and p/q the scale ``_integer_columns``
-    gives A; the pivots depend on p/q, not only on B. Both rechecks run on B.
-    """
-    feasible, u, y = _phase_one((cols, p, q))
+def _decide(cols: tuple[tuple[int, ...], ...]) -> Certificate:
+    """``gordan_decide`` on the integer columns ``cols``, rechecked on them."""
+    feasible, u, y = _phase_one(cols)
     if feasible:
         cert_u = primitive_vector(u)
         if null_vector_failure(cols, cert_u) is not None:
@@ -162,53 +157,39 @@ def _decide(cols: tuple[tuple[int, ...], ...], p: int, q: int) -> Certificate:
     return SeparatingDirection(v=v)
 
 
-def _integer_columns(a: GordanMatrix) -> tuple[tuple[tuple[int, ...], ...], int, int]:
-    """(B, p, q): coprime integer columns B and coprime p, q > 0, A = (p/q) B.
-
-    A u = 0 exactly when B u = 0, and v^T A has the signs of v^T B. A zero
-    matrix reads as B = 0, p = q = 1.
-    """
-    flat = [x for col in a.columns for x in col]
-    b = primitive_vector(flat)
-    i = next((i for i, x in enumerate(b) if x), None)
-    ratio = Fraction(1) if i is None else Fraction(flat[i]) / b[i]
-    return tuple(zip(b[0::3], b[1::3], b[2::3])), ratio.numerator, ratio.denominator
-
-
 def _reduced(row: list[int]) -> list[int]:
     """The row divided by the gcd of its entries (one is nonzero)."""
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
 
-def _phase_one(a: tuple[tuple[tuple[int, ...], ...], int, int]):
-    """Revised phase-one simplex for {u >= 0 : A u = 0, sum(u) = 1}.
+def _phase_one(cols: tuple[tuple[int, ...], ...]):
+    """Revised phase-one simplex for {u >= 0 : B u = 0, sum(u) = 1}.
 
-    ``a`` is the matrix A = (p/q) B as ``_integer_columns`` reads it.
-    Returns (True, u, None) on feasibility, else (False, None, y) where y
-    are the optimal dual multipliers of the four equality rows.
+    ``cols`` are the integer columns of B. Returns (True, u, None) on
+    feasibility, else (False, None, y) where y are the optimal dual
+    multipliers of the four equality rows.
 
-    The rational tableau has rows [A | I | rhs] over the four equality
-    rows (the three rows of A and sum(u) = 1) and the reduced-cost row.
-    Each row is M [A | I | rhs] for the inverse M of the current basis, so
+    The rational tableau has rows [B | I | rhs] over the four equality
+    rows (the three rows of B and sum(u) = 1) and the reduced-cost row.
+    Each row is M [B | I | rhs] for the inverse M of the current basis, so
     it is fixed by its artificial block. Only that block is kept: a
     constraint row as [a | rhs], the cost row as [a | rhs | factor], each
     an integer row known up to its own positive factor and reduced by
-    ``_reduced``. A row's entry in column c of A is a . (A_c, 1) =
-    (p (a_0 B_0c + a_1 B_1c + a_2 B_2c) + q a_3) / q, and in artificial
-    column i it is a_i. The cost row is factor * (0 | 1 1 1 1) - d [A | I]
-    with d_i = factor - a_i the scaled duals, so column c's reduced cost is
-    negative exactly when p (d . B_c) + q d_3 > 0.
+    ``_reduced``. A row's entry in column c of B is a . (B_c, 1) =
+    a_0 B_0c + a_1 B_1c + a_2 B_2c + a_3, and in artificial column i it is
+    a_i. The cost row is factor * (0 | 1 1 1 1) - d [B | I] with
+    d_i = factor - a_i the scaled duals, so column c's reduced cost is
+    negative exactly when d . B_c + d_3 > 0.
 
     The pivots are those of the full tableau. Bland's entering rule reads
-    only the signs of the reduced costs, scanned over the columns of A and
+    only the signs of the reduced costs, scanned over the columns of B and
     then the artificial columns, and stops at the first negative one; the
     ratio test compares rhs/coef within one row and breaks ties by basis
-    index. None of these depends on a row's positive factor or on the
-    common positive factor q of a priced column, so every choice, and with
-    it every basis, u and y, is that of the rational tableau.
+    index. None of these depends on a row's positive factor, so every
+    choice, and with it every basis, u and y, is that of the rational
+    tableau.
     """
-    cols, p, q = a
     ell = len(cols)
     rows = [[int(i == r) for i in range(4)] + [int(r == 3)] for r in range(4)]
     # Minimize the artificial sum from the all-artificial basis; the rhs
@@ -218,13 +199,13 @@ def _phase_one(a: tuple[tuple[tuple[int, ...], ...], int, int]):
 
     while True:
         f = obj[5]
-        pd0, pd1, pd2, qd3 = p * (f - obj[0]), p * (f - obj[1]), p * (f - obj[2]), q * (f - obj[3])
-        # Column c of A is priced at q times its entries: the four
-        # constraint rows' coefficients and the cost row's reduced cost.
+        d0, d1, d2, d3 = f - obj[0], f - obj[1], f - obj[2], f - obj[3]
+        # Column c of B is priced: the four constraint rows' coefficients
+        # and the cost row's reduced cost.
         for enter, (x, y, z) in enumerate(cols):
-            price = pd0 * x + pd1 * y + pd2 * z + qd3
+            price = d0 * x + d1 * y + d2 * z + d3
             if price > 0:
-                coefs = [p * (r0 * x + r1 * y + r2 * z) + q * r3 for r0, r1, r2, r3, _ in rows]
+                coefs = [r0 * x + r1 * y + r2 * z + r3 for r0, r1, r2, r3, _ in rows]
                 cost = -price
                 break
         else:
@@ -256,7 +237,7 @@ def _phase_one(a: tuple[tuple[tuple[int, ...], ...], int, int]):
         for (a0, a1, a2, a3, rhs), c in zip(rows, basis):
             if c < ell:
                 x, y, z = cols[c]
-                u[c] = Fraction(q * rhs, p * (a0 * x + a1 * y + a2 * z) + q * a3)
+                u[c] = Fraction(rhs, a0 * x + a1 * y + a2 * z + a3)
         return True, u, None
     f = obj[5]
     return False, None, [Fraction(f - obj[i], f) for i in range(4)]

@@ -42,13 +42,24 @@ def read_utf8(path) -> str:
         raise ParseError(path, line_no, f"not UTF-8: {exc.reason}") from None
 
 
+class NotRational(SuperbridgeError, ValueError):
+    """A value that does not read as an exact rational number."""
+
+
 def rational(x: Rational) -> Fraction:
-    """Coerce an int, Fraction, or string ("7", "-3/4", "0.25") to Fraction."""
+    """Coerce an int, Fraction, or string ("7", "-3/4", "0.25") to Fraction.
+
+    Anything else reads as its ``str``; what does not parse, such as "x",
+    None, nan, inf or "1/0", raises NotRational with ``Fraction``'s text.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    return Fraction(str(x).strip())
+    try:
+        return Fraction(str(x).strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise NotRational(str(exc)) from None
 
 
 def vec3(x: Rational, y: Rational, z: Rational) -> Vec3:

@@ -36,7 +36,7 @@ from typing import Iterator, Optional
 from .certificates import CertificateBundle, find_certificate
 from .enumeration import SCREEN_ENTRIES_MAX, jin_upper_bound, sampled_lower_bound, superbridge_number
 from .geometry import PolygonalKnot
-from .linalg import Rational, SuperbridgeError, rational
+from .linalg import NotRational, Rational, SuperbridgeError, rational
 
 
 class RetryExhausted(SuperbridgeError):
@@ -55,7 +55,7 @@ def _check_radius(value: Rational) -> Fraction:
     """
     try:
         radius = rational(value)
-    except (ValueError, ZeroDivisionError):
+    except NotRational:
         radius = None
     if radius is None or radius < Fraction(1, 2):
         raise SuperbridgeError(f"confinement radius must be a rational >= 1/2, got {value!r}")
@@ -78,7 +78,9 @@ class SearchConfig:
             raise SuperbridgeError("need at least 3 edges")
         if not 1 <= self.target <= self.n // 2:
             raise SuperbridgeError("target must be in [1, floor(n/2)]")
-        if self.samples < 0 or not 1 <= self.screen_samples * self.n <= SCREEN_ENTRIES_MAX:
+        if self.samples < 0:
+            raise SuperbridgeError(f"sample count must be >= 0, got {self.samples}")
+        if not 1 <= self.screen_samples * self.n <= SCREEN_ENTRIES_MAX:
             raise SuperbridgeError(f"bad sample counts (screen x n must be <= {SCREEN_ENTRIES_MAX})")
         # Validated only: the stored value is kept as given, so manifests
         # record the radius exactly as the user wrote it.
@@ -168,8 +170,11 @@ def random_equilateral_polygon(
     is exact, and every vertex must lie within ``confinement_radius`` of
     the vertex centroid (exact squared-distance comparison). Polygons
     outside confinement are rejected and redrawn, deterministically in
-    ``rng``. A radius below 1/2 raises SuperbridgeError before any draw.
+    ``rng``. Fewer than 3 edges or a radius below 1/2 raises
+    SuperbridgeError before any draw.
     """
+    if n < 3:
+        raise SuperbridgeError("need at least 3 edges")
     radius = _check_radius(confinement_radius)
     den = n * _GRID
     # v - centroid = (n V - sum of V) / (n den) for the integer numerators V

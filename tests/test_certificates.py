@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from superbridge import (
     CertificateBundle,
     DegeneratePolygon,
+    Direction,
     InvalidCertificate,
     PolygonalKnot,
     VerifiedBound,
@@ -47,7 +48,7 @@ from superbridge.corpus import (
 )
 from superbridge.geometry import KnotTypePreservationWarning, integer_edges
 from superbridge.gordan import SeparatingDirection, _decide, null_vector_failure
-from superbridge.linalg import primitive_vector
+from superbridge.linalg import NotRational, SuperbridgeError, primitive_vector
 
 
 class TestEvenSystem:
@@ -295,6 +296,34 @@ def test_shipped_bundles_verify_on_rational_coordinates(corpus):
     assert checked == 20
 
 
+def _with_first_entry(rows, bad):
+    return ((bad, *rows[0][1:]), *rows[1:])
+
+
+_BAD_ENTRY_CALLS = {
+    "verify_bundle_even": lambda c, bad: verify_bundle(
+        c["9_22"].knot, CertificateBundle(vector=(bad, *c["9_22"].certificate.vector[1:]))
+    ),
+    "verify_bundle_odd": lambda c, bad: verify_bundle(
+        c["9_36"].knot, CertificateBundle(matrix=_with_first_entry(c["9_36"].certificate.matrix, bad))
+    ),
+    "from_coordinates": lambda c, bad: PolygonalKnot.from_coordinates(
+        "p", _with_first_entry(c["9_22"].knot.vertices, bad)
+    ),
+    "direction": lambda c, bad: Direction.of(bad, 0, 1),
+}
+
+
+@pytest.mark.parametrize("bad", ["x", None, float("nan"), float("inf"), "1/0"])
+@pytest.mark.parametrize("call", sorted(_BAD_ENTRY_CALLS))
+def test_entries_that_are_not_rational_raise_a_typed_error(corpus, call, bad):
+    """One error at the one coercion point: a SuperbridgeError that is also
+    the ValueError older callers caught."""
+    with pytest.raises(NotRational) as exc:
+        _BAD_ENTRY_CALLS[call](corpus, bad)
+    assert isinstance(exc.value, SuperbridgeError) and isinstance(exc.value, ValueError)
+
+
 class TestFindCertificate:
     def test_nine_22_yields_valid_vector(self, corpus):
         p = corpus["9_22"].knot
@@ -420,8 +449,9 @@ def test_find_certificate_pinned_on_every_realization(corpus):
 # sha256 of repr(find_certificate(p)) over three sets, in order: one sampler
 # polygon (radius 3, raw 2^24-grid rationals) for each n = 3..31, the same
 # polygons quantized to 3 digits, then the 22 realizations by name. Recorded
-# once odd shifts reused the previous shift's null vector.
-FIND_REPR_DIGEST = "740ea25beb93d8feb156f57f610bb52caedf9b2124deb7b861193c074e45808f"
+# once odd shifts reused the previous shift's null vector and every system was
+# decided as its coprime integer table, with no scale.
+FIND_REPR_DIGEST = "19b5714ec391a3b2113ecb07c74eb6851ae265009d52afadf553c9945e92d54c"
 
 
 def _sampler_polygons() -> list:
@@ -443,12 +473,9 @@ def test_find_certificate_pinned_on_sampler_polygons(corpus):
 def _reference_find_certificate(p: PolygonalKnot) -> FindResult:
     """``find_certificate`` as it was before odd shifts reused null vectors:
     ``_decide`` on every system."""
-    table = integer_edges(p)
-    d = next(d for d in range(3) if table[0][d])
-    scale = Fraction(p.vertices[1][d] - p.vertices[0][d]) / table[0][d]
     vectors, evidence = [], []
     for j, (columns, _) in enumerate(_polygon_systems(p), start=1):
-        cert = _decide(columns, scale.numerator, scale.denominator)
+        cert = _decide(columns)
         if isinstance(cert, SeparatingDirection):
             evidence.append(ShiftEvidence(j if p.n % 2 else 0, cert.v))
         else:
@@ -506,6 +533,17 @@ def test_find_certificate_reuses_null_vectors_on_the_realizations(corpus):
     from scratch makes 206."""
     assert sum(_decide_calls(e.knot)[1] for e in corpus.values()) == 90
     assert sum(len(_polygon_systems(e.knot)) for e in corpus.values()) == 206
+
+
+@pytest.mark.parametrize("k", [Fraction(2), Fraction(7, 3), Fraction(1, 10)])
+def test_find_certificate_depends_only_on_the_shape(corpus, k):
+    """Each realization scaled by k and shifted by (1/2, -1/5, 3/7) gives the
+    same bundle or evidence: only the coprime integer edge table is decided."""
+    shift = (Fraction(1, 2), Fraction(-1, 5), Fraction(3, 7))
+    for name, entry in corpus.items():
+        p = entry.knot
+        verts = tuple(tuple(k * c + s for c, s in zip(v, shift)) for v in p.vertices)
+        assert find_certificate(PolygonalKnot(name, verts)) == find_certificate(p), name
 
 
 @given(

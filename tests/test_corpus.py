@@ -1,4 +1,5 @@
 import random
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,10 +19,12 @@ from superbridge import (
     verify_bundle,
     verify_entry,
 )
+from superbridge import corpus as corpus_mod
 from superbridge.corpus import (
     ParseError,
     SuperbridgeError,
     _vertex_row,
+    corpus_entries,
     corpus_entry,
     data_root,
     save_certificate_document,
@@ -279,3 +282,16 @@ def test_certificate_mutants_end_in_a_typed_outcome(tmp_path, package_env):
             )
             assert proc.returncode == (0 if outcome == "accepted" else 1), proc.stderr
             assert "Traceback" not in proc.stderr
+
+
+def test_corpus_rejects_a_certificate_whose_vertices_disagree(tmp_path, monkeypatch):
+    """A certificate document must carry its realization's vertices."""
+    root = tmp_path / "data"
+    shutil.copytree(str(data_root()), root)
+    cert = root / "certificates" / "9_3.cert"
+    text = cert.read_text(encoding="utf-8")
+    assert "\n1285 958 0\n" in text
+    cert.write_text(text.replace("\n1285 958 0\n", "\n1285 958 1\n"), encoding="utf-8")
+    monkeypatch.setattr(corpus_mod, "data_root", lambda: root)
+    with pytest.raises(SuperbridgeError, match=r"^9_3: certificate vertices disagree$"):
+        corpus_entries()

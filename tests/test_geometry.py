@@ -67,6 +67,12 @@ class TestPolygonalKnot:
         with pytest.raises(DegeneratePolygon, match="bad: vertices 1 and 2 coincide"):
             PolygonalKnot.from_coordinates("bad", [(0, 0, 0), (1, 0, 0), (1, 0, 0), (2, 0, 0)])
 
+    @pytest.mark.parametrize("row", [(0, 1), (0, 1, 2, 3), ()])
+    def test_rejects_rows_without_three_entries(self, row):
+        rows = [(0, 0, 0), (1, 0, 0), row, (0, 0, 1)]
+        with pytest.raises(SuperbridgeError, match=f"bad: vertex 2 has {len(row)} coordinates, expected 3"):
+            PolygonalKnot.from_coordinates("bad", rows)
+
     def test_rational_coordinates(self):
         p = PolygonalKnot.from_coordinates(
             "q", [("0", "0", "0"), ("1/2", "0", "0"), ("1/2", "1/3", "0")]
@@ -403,6 +409,17 @@ class TestQuantize:
             q = quantize(p, digits=3)
         assert q.vertices[1] == (1000, 0, 0)
         assert q.vertices[2] == (500, 500, 0)
+
+    @pytest.mark.parametrize("digits", [1, 3, 4])
+    def test_large_rational_input_scales_down(self, digits):
+        """Coordinates past 10^digits: the scale search steps k down."""
+        p = PolygonalKnot.from_coordinates(
+            "t", [(0, 0, 0), ("12345/2", 0, 0), (0, "98765/3", "1/7")]
+        )
+        with pytest.warns(KnotTypePreservationWarning):
+            q = quantize(p, digits=digits)
+        largest = max(abs(c) for v in q.vertices for c in v)
+        assert 10 ** (digits - 1) <= largest < 10**digits
 
     def test_integer_input_unchanged(self, corpus):
         p = corpus["9_22"].knot

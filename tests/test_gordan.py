@@ -21,7 +21,7 @@ from superbridge import (
     verify_separating,
 )
 from superbridge.certificates import build_odd_systems
-from superbridge.gordan import DimensionMismatch, _integer_columns, _phase_one, null_vector_failure
+from superbridge.gordan import DimensionMismatch, _phase_one, null_vector_failure
 from superbridge.linalg import SuperbridgeError, primitive_vector
 from superbridge.search import random_equilateral_polygon
 
@@ -242,7 +242,8 @@ def _random_rational_matrix(rng: random.Random) -> GordanMatrix:
 
 
 def test_decisions_pinned_on_seeded_random_matrices():
-    """500 certificates, as recorded with the rational-tableau simplex."""
+    """500 certificates, as recorded with the rational-tableau simplex on the
+    coprime integer columns B of each matrix."""
     rng = random.Random(2024)
     lines = []
     for _ in range(500):
@@ -250,7 +251,17 @@ def test_decisions_pinned_on_seeded_random_matrices():
         values = cert.u if isinstance(cert, NullCombination) else cert.v
         lines.append(f"{type(cert).__name__} {' '.join(map(str, values))}\n")
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-    assert digest == "769fb10d9dafe368da7f576fda0693a0bf47df9e8900ed69974514c9e853fef7"
+    assert digest == "6086c394b5e0e35065f6503da4f6a87b4b55fca6041e1430073b5381910805a2"
+
+
+@pytest.mark.parametrize("k", [Fraction(5, 7), Fraction(3)])
+def test_decisions_do_not_depend_on_a_positive_scale(k):
+    """gordan_decide(k A) == gordan_decide(A) on the 500 seeded matrices."""
+    rng = random.Random(2024)
+    for _ in range(500):
+        m = _random_rational_matrix(rng)
+        scaled = GordanMatrix(columns=tuple(tuple(k * x for x in col) for col in m.columns))
+        assert gordan_decide(scaled) == gordan_decide(m), m
 
 
 def _reference_phase_one(a: GordanMatrix, pivots: list | None = None):
@@ -306,9 +317,11 @@ def _reference_phase_one(a: GordanMatrix, pivots: list | None = None):
 
 
 def _assert_phase_one_matches_reference(m: GordanMatrix):
-    b, p, q = _integer_columns(m)
-    assert [Fraction(p, q) * x for col in b for x in col] == [x for col in m.columns for x in col]
-    assert _phase_one((b, p, q)) == _reference_phase_one(m)
+    """The revised simplex on B, A's coprime integer columns, pivots as the
+    full rational tableau of B."""
+    b = primitive_vector(x for col in m.columns for x in col)
+    cols = tuple(zip(b[0::3], b[1::3], b[2::3]))
+    assert _phase_one(cols) == _reference_phase_one(GordanMatrix(columns=cols))
 
 
 _ENTRY = st.builds(

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +127,19 @@ class TestSampler:
         with pytest.raises(SuperbridgeError, match="1/2"):
             SearchConfig(n=10, target=3, samples=1, seed=0, confinement_radius=radius)
 
+    @pytest.mark.parametrize("n", [2, 0, -1])
+    def test_too_few_edges_fail_before_sampling(self, monkeypatch, n):
+        """A typed error at once, not a million redraws or an IndexError."""
+
+        def no_draws(*args):
+            raise AssertionError("sampled a polygon")
+
+        monkeypatch.setattr(search_mod, "_isotropic_edges", no_draws)
+        start = time.process_time()
+        with pytest.raises(SuperbridgeError, match="need at least 3 edges"):
+            random_equilateral_polygon(n, 3, random.Random(0))
+        assert time.process_time() - start < 1
+
 
 def _reference_isotropic(n, rng):
     """The numpy draw of n unit edges that the plain rows replace: n x 3."""
@@ -242,6 +256,10 @@ class TestConfig:
         with pytest.raises(SuperbridgeError):
             SearchConfig(n=2, target=1, samples=1, seed=0)
 
+    def test_negative_sample_count_names_itself(self):
+        with pytest.raises(SuperbridgeError, match=r"^sample count must be >= 0, got -1$"):
+            SearchConfig(n=6, target=2, samples=-1, seed=0)
+
     @pytest.mark.parametrize("radius", ["abc", "1/0", "0", "-3/2", 0, Fraction(-1)])
     def test_radius_must_be_positive_rational(self, radius):
         with pytest.raises(SuperbridgeError):
@@ -287,7 +305,8 @@ class TestSearch:
 
     def test_candidate_stream_pinned(self):
         """Names, coordinates and certificates as recorded with a separate
-        screen seed: the screen's seed cannot move a candidate."""
+        screen seed: the screen's seed cannot move a candidate. Certificates
+        as recorded once each system was decided with no scale."""
         cfg = SearchConfig(n=6, target=2, samples=40, seed=9, screen_samples=64)
         lines = []
         for c in search(cfg):
@@ -295,7 +314,7 @@ class TestSearch:
             lines.append(f"{c.knot.name} {c.exact_sb} {coords} {c.certificate}\n")
         assert len(lines) == 13
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-        assert digest == "087c5f76ce027ad986944c7b4eab834b7f19292392528a77788081f27d63a4d5"
+        assert digest == "43a247db6743e243444f7b8e6e90e1953426f043e939beada58b1f5aa3715711"
 
     @pytest.mark.parametrize(
         "n,target,samples,seed", [(6, 2, 40, 9), (8, 3, 30, 5), (7, 2, 30, 4)]
