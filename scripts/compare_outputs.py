@@ -5,7 +5,9 @@
 Both checkouts run the same invocations on the data files of CHANGE:
 ``sb exact`` and ``sb find`` (text and ``--json``) on every realization of
 the corpus manifest, ``sb verify`` (text and ``--json``) on each shipped
-certificate and on all of them at once, ``sb table`` on each metadata
+certificate, on all of them at once and on a +1-tampered copy of each
+(written once, to a temporary directory both checkouts read, so rejection
+diagnostics are compared too), ``sb table`` on each metadata
 file in every ``--format``, with and without ``--exact-only``, and a few
 fixed ``sb search`` runs (n = 6 to 33, radii 1, 3/2, 5/2 and 3, candidates
 with certificates), each into a fresh
@@ -39,15 +41,37 @@ SEARCHES = [
 ]
 
 
-def invocations(data: Path) -> list[list[str]]:
-    """The ``sb`` argument lists to compare, on the data directory ``data``."""
+def tamper(cert: Path, out: Path) -> str:
+    """Path of a copy of ``cert`` in ``out`` with one bundle entry raised by 1.
+
+    The entry is the first of the ``u:`` line of an even bundle, or the
+    first of the first ``U:`` row of an odd one: row 0 of column 0, the
+    published-layout column of system E_1.
+    """
+    lines = cert.read_text(encoding="utf-8").splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith(("u:", "U:")))
+    if lines[i] == "U:":
+        i += 1
+    tokens = lines[i].split()
+    k = tokens[0] == "u:"
+    tokens[k] = str(int(tokens[k]) + 1)
+    lines[i] = " ".join(tokens)
+    path = out / cert.name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def invocations(data: Path, tampered: Path) -> list[list[str]]:
+    """The ``sb`` argument lists to compare, on the data directory ``data``;
+    tampered certificate copies are written to ``tampered``."""
     manifest = json.loads((data / "corpus.json").read_text(encoding="utf-8"))["entries"]
     runs = []
     for item in manifest:
         path = str(data / item["realization"])
         runs += [[cmd, path, *flag] for cmd in ("exact", "find") for flag in ([], ["--json"])]
     certs = [str(data / item["certificate"]) for item in manifest if item.get("certificate")]
-    for paths in [[c] for c in certs] + [certs]:
+    bad = [tamper(Path(c), tampered) for c in certs]
+    for paths in [[c] for c in certs] + [certs] + [[c] for c in bad]:
         runs += [["verify", *paths, *flag] for flag in ([], ["--json"])]
     for meta in sorted((data / "metadata").glob("*.csv")):
         for fmt in ("text", "csv", "json"):
@@ -95,8 +119,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     data = change / "src" / "superbridge" / "data"
-    runs = invocations(data)
-    before, after = outputs(parent, runs), outputs(change, runs)
+    with tempfile.TemporaryDirectory() as tampered:
+        runs = invocations(data, Path(tampered))
+        before, after = outputs(parent, runs), outputs(change, runs)
     differ = 0
     for argv, old, new in zip(runs, before, after):
         if old != new:

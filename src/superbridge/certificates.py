@@ -13,9 +13,14 @@ straight from the polygon's integer edge table, so a certificate search
 depends only on the polygon's shape: rescaled or translated coordinates
 give the same table and the same result. A polygon's systems are signed
 once and kept on the polygon, as the polygon keeps its edge table. Each
-system's rows are kept beside its columns: an odd bundle's columns are
-gathered by one transpose and sign-checked once each, and a candidate
-costs a rotation by slicing and one C-level sum per row.
+system's rows are kept beside its columns, and for odd n the same rows
+rotated by the system's published rotation, so either candidate of a system
+costs one C-level sum per row and no copy of the column. An odd bundle's
+columns are gathered by one transpose. A bundle of plain ints is checked as
+it is: its signs and residuals cannot change under the positive rescaling
+``primitive_vector`` would apply, so only other entry types go through it.
+Columns are sign-checked once each, or not at all when every entry is
+positive.
 
 Odd shifted systems share null vectors. E_(j+1) is -E_j with the one
 column (n - j) mod n left unnegated, so a null vector of E_j that is 0 in
@@ -40,6 +45,7 @@ candidates, direct first, and verifies each exactly; any other arrangement
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .geometry import EdgeVectors, PolygonalKnot, integer_edges
@@ -165,18 +171,33 @@ def _signed_systems(edges: Sequence[Sequence]) -> tuple[tuple[tuple, tuple], ...
     )
 
 
-def _polygon_systems(p: PolygonalKnot) -> tuple[tuple[tuple, tuple], ...]:
-    """``_signed_systems`` of p's integer edge table, signed once per polygon.
+def _kept_systems(p: PolygonalKnot) -> tuple[tuple[tuple[tuple, tuple], ...], tuple]:
+    """(``_signed_systems`` of p's integer edge table, published rows), once per polygon.
 
-    Kept on p as a plain attribute on first use, as p keeps its edge table:
-    ``dataclasses.replace`` builds a polygon without it, and pickling carries
-    it with the vertices it was signed from.
+    For odd n, published rows j - 1 are the rows of E_j rotated by its
+    published rotation r, ``row[r:] + row[:r]``: row . u for the published
+    candidate u[p] = column[(p - r) mod n] is the rotated row . column. For
+    even n there are none. Kept on p as a plain attribute on first use, as
+    p keeps its edge table: ``dataclasses.replace`` builds a polygon without
+    it, and pickling carries it with the vertices it was signed from.
     """
-    systems = p.__dict__.get("_signed_systems")
-    if systems is None:
+    kept = p.__dict__.get("_signed_systems")
+    if kept is None:
+        n = p.n
         systems = _signed_systems(integer_edges(p))
-        object.__setattr__(p, "_signed_systems", systems)
-    return systems
+        published = tuple(
+            tuple(row[r:] + row[:r] for row in rows)
+            for j, (_, rows) in enumerate(systems, start=1)
+            for r in [published_column_for_system(n, j)[1]]
+        ) if n % 2 else ()
+        kept = (systems, published)
+        object.__setattr__(p, "_signed_systems", kept)
+    return kept
+
+
+def _polygon_systems(p: PolygonalKnot) -> tuple[tuple[tuple, tuple], ...]:
+    """``_signed_systems`` of p's integer edge table, kept by ``_kept_systems``."""
+    return _kept_systems(p)[0]
 
 
 def build_even_system(e: EdgeVectors) -> EvenSystem:
@@ -223,10 +244,11 @@ def verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBo
     """Exact check that every shifted system has a null vector in the bundle.
 
     System j is checked against the direct layout (column j-1, unrotated)
-    and then the published layout (``published_column_for_system``); no
-    other arrangement is tried. Each candidate is verified exactly, and
-    the matched (column, rotation) is reported per system. Certifies
-    sb(p) <= floor(n/2)-1.
+    and then the published layout (``published_column_for_system``) on the
+    kept rotated rows; no other arrangement is tried. Each candidate is
+    verified exactly, and the matched (column, rotation) is reported per
+    system. Columns of plain ints are used as they are; other entries go
+    through ``primitive_vector``. Certifies sb(p) <= floor(n/2)-1.
     """
     n = p.n
     if n % 2 != 1:
@@ -237,16 +259,24 @@ def verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBo
         raise InvalidCertificate(
             "dimension", f"{p.name}: bundle is {bundle.size}x{bundle.size}, edges {n}"
         )
-    columns = [primitive_vector(col) for col in zip(*bundle.matrix)]
-    signs = [_sign_failure(col) for col in columns]
+    matrix = bundle.matrix
+    if set(map(type, chain.from_iterable(matrix))) == {int}:
+        columns = list(zip(*matrix))
+        positive = min(map(min, matrix)) > 0
+    else:
+        columns = [primitive_vector(col) for col in zip(*matrix)]
+        positive = False
+    signs = [None] * n if positive else [_sign_failure(col) for col in columns]
+    systems, published = _kept_systems(p)
     assignment = []
     uncovered = []
-    for j, (_, rows) in enumerate(_polygon_systems(p), start=1):
-        for c, r in ((j - 1, 0), published_column_for_system(n, j)):
-            col = columns[c]
-            if signs[c] is None and _residual_failure(rows, col[n - r :] + col[: n - r]) is None:
-                assignment.append((j, c, r))
-                break
+    for j, ((_, rows), turned) in enumerate(zip(systems, published), start=1):
+        if signs[j - 1] is None and _residual_failure(rows, columns[j - 1]) is None:
+            assignment.append((j, j - 1, 0))
+            continue
+        c, r = published_column_for_system(n, j)
+        if signs[c] is None and _residual_failure(turned, columns[c]) is None:
+            assignment.append((j, c, r))
         else:
             uncovered.append(j)
     if uncovered:

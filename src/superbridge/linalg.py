@@ -50,16 +50,20 @@ def rational(x: Rational) -> Fraction:
     """Coerce an int, Fraction, or string ("7", "-3/4", "0.25") to Fraction.
 
     Anything else reads as its ``str``; what does not parse, such as "x",
-    None, nan, inf or "1/0", raises NotRational with ``Fraction``'s text.
+    None, nan or inf, raises NotRational with ``Fraction``'s text, and a
+    zero denominator ("1/0") with "zero denominator in '1/0'".
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
+    text = str(x).strip()
     try:
-        return Fraction(str(x).strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(text)
+    except ValueError as exc:
         raise NotRational(str(exc)) from None
+    except ZeroDivisionError:
+        raise NotRational(f"zero denominator in {text!r}") from None
 
 
 def vec3(x: Rational, y: Rational, z: Rational) -> Vec3:

@@ -19,7 +19,8 @@ operations in the same order, so the polygons are the same bit for bit;
 tests/test_search.py keeps those sweeps as the reference.
 From the snap on everything is integer arithmetic: the residual closure
 defect is folded in exactly, and confinement is an exact integer test.
-Fractions are built only for the returned polygon. The screen draws its
+Fractions are built only for the returned polygon's vertices; its integer
+edge table is the sampler's own edges over their gcd. The screen draws its
 directions from ``random.Random`` bytes too; numpy.random is never
 imported. Knot-type identification of candidates is out of scope;
 candidates are written to files for external classification.
@@ -36,7 +37,7 @@ from typing import Iterator, Optional
 from .certificates import CertificateBundle, find_certificate
 from .enumeration import SCREEN_ENTRIES_MAX, jin_upper_bound, sampled_lower_bound, superbridge_number
 from .geometry import PolygonalKnot
-from .linalg import NotRational, Rational, SuperbridgeError, rational
+from .linalg import NotRational, Rational, SuperbridgeError, primitive_vector, rational
 
 
 class RetryExhausted(SuperbridgeError):
@@ -80,7 +81,9 @@ class SearchConfig:
             raise SuperbridgeError("target must be in [1, floor(n/2)]")
         if self.samples < 0:
             raise SuperbridgeError(f"sample count must be >= 0, got {self.samples}")
-        if not 1 <= self.screen_samples * self.n <= SCREEN_ENTRIES_MAX:
+        if self.screen_samples < 1:
+            raise SuperbridgeError(f"screen sample count must be >= 1, got {self.screen_samples}")
+        if self.screen_samples * self.n > SCREEN_ENTRIES_MAX:
             raise SuperbridgeError(f"bad sample counts (screen x n must be <= {SCREEN_ENTRIES_MAX})")
         # Validated only: the stored value is kept as given, so manifests
         # record the radius exactly as the user wrote it.
@@ -193,10 +196,17 @@ def random_equilateral_polygon(
         far = max((n * x - cx) ** 2 + (n * y - cy) ** 2 + (n * z - cz) ** 2 for x, y, z in verts)
         if far * far_scale > far_max:
             continue
+        # The edges over den, divided by their gcd, are the polygon's
+        # integer edge table: both are coprime and positively proportional
+        # to the same edges.
+        flat = primitive_vector(
+            b - a for u, v in zip(verts, verts[1:] + verts[:1]) for a, b in zip(u, v)
+        )
         try:
-            return PolygonalKnot(
-                name=name,
-                vertices=tuple(tuple(Fraction(c, den) for c in v) for v in verts),
+            return PolygonalKnot._with_edges(
+                name,
+                tuple(tuple(Fraction(c, den) for c in v) for v in verts),
+                tuple(zip(flat[0::3], flat[1::3], flat[2::3])),
             )
         except SuperbridgeError:
             continue

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -36,6 +37,7 @@ from superbridge.certificates import (
     FindResult,
     OddEdgeCount,
     ShiftEvidence,
+    _kept_systems,
     _polygon_systems,
     _signed_systems,
     published_column_for_system,
@@ -689,26 +691,42 @@ def test_entries_of_other_types_get_the_verdict_of_their_int_form(corpus, name, 
         )
 
 
+def _rotated_rows(p: PolygonalKnot) -> tuple:
+    """Rows of each odd system E_j rotated by its published rotation r,
+    ``row[r:] + row[:r]``, built afresh; none for even n."""
+    if p.n % 2 == 0:
+        return ()
+    return tuple(
+        tuple(row[r:] + row[:r] for row in rows)
+        for j, (_, rows) in enumerate(_signed_systems(integer_edges(p)), start=1)
+        for r in [published_column_for_system(p.n, j)[1]]
+    )
+
+
 @pytest.mark.parametrize("name", ["9_22", "9_36"])
 def test_signed_systems_follow_the_vertices_of_every_copy(corpus, name):
-    """Once a polygon is verified, a ``dataclasses.replace`` of it and a
-    pickle round trip give the verdicts and signed systems of a freshly
-    built polygon on the same vertices. ``other`` has the parity of ``name``."""
+    """Once a polygon is verified, a pickle round trip, a deepcopy and a
+    ``dataclasses.replace`` of it give the verdicts, signed systems and
+    rotated rows of a freshly built polygon on the same vertices. ``other``
+    has the parity of ``name``."""
     entry, other = corpus[name], corpus["9_3" if name == "9_36" else "11n_77"]
     p = entry.knot
     verify_bundle(p, entry.certificate)
     copies = [
         pickle.loads(pickle.dumps(p)),
+        copy.deepcopy(p),
         dataclasses.replace(p),
         dataclasses.replace(p, vertices=other.knot.vertices),
     ]
     for q in copies:
         fresh = PolygonalKnot(q.name, q.vertices)
         assert _polygon_systems(q) == _signed_systems(integer_edges(fresh))
+        assert _kept_systems(q)[1] == _rotated_rows(fresh)
+        assert len(_kept_systems(q)[1]) == (q.n if q.n % 2 else 0)
         for bundle in (entry.certificate, other.certificate):
             assert _outcome(q, bundle) == _outcome(fresh, bundle)
-    assert _outcome(copies[2], other.certificate)[0] == "verified"
-    assert _outcome(copies[2], entry.certificate)[0] == "rejected"
+    assert _outcome(copies[3], other.certificate)[0] == "verified"
+    assert _outcome(copies[3], entry.certificate)[0] == "rejected"
 
 
 def _reference_verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBound:
@@ -836,3 +854,61 @@ def test_odd_bundle_verdicts_match_the_reference_verifier(case):
     the reference's, on re-laid-out, permuted and tampered bundles."""
     p, bundle = case
     assert _outcome(p, bundle) == _outcome(p, bundle, _reference_verify_odd_bundle)
+
+
+#: edit -> (one matrix entry x -> its replacement in a positive-int bundle,
+#: the verdicts and failed checks it gives on the shipped bundles and tampers)
+_ENTRY_EDITS = {
+    "none": (lambda x: x, {"verified", "nonzero_residual"}),
+    "zero": (lambda x: 0, {"nonzero_residual"}),
+    "negative": (lambda x: -x, {"negative_entry", "nonzero_residual"}),
+    "fraction": (Fraction, {"verified", "nonzero_residual"}),
+    "string": (str, {"verified", "nonzero_residual"}),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_ENTRY_EDITS))
+def test_positive_int_bundles_get_the_reference_verdict(corpus, edit):
+    """The shipped odd bundles hold positive ints only, so ``verify_odd_bundle``
+    neither rescales nor sign-checks their columns. Each of them and a +1
+    tamper of each, with one entry left, set to 0, negated, or given as a
+    Fraction or a str, gets the reference verifier's verdict."""
+    change, want = _ENTRY_EDITS[edit]
+    seen = set()
+    for name, entry in sorted(corpus.items()):
+        bundle = entry.certificate
+        if bundle is None or bundle.matrix is None:
+            continue
+        assert min(map(min, bundle.matrix)) > 0, name
+        n = bundle.size
+        for base in (bundle, next(_single_entry_tampers(bundle, 1))):
+            for r, c in ((0, 0), (n - 1, n // 2)):
+                matrix = [list(row) for row in base.matrix]
+                matrix[r][c] = change(matrix[r][c])
+                edited = CertificateBundle(matrix=tuple(map(tuple, matrix)))
+                got = _outcome(entry.knot, edited)
+                assert got == _outcome(entry.knot, edited, _reference_verify_odd_bundle), name
+                # a rejection names the failed check last: "... fails check '<check>' for ..."
+                seen.add(got[0] if got[0] == "verified" else got[2].rsplit("'", 2)[1])
+    assert seen == want
+
+
+def test_plain_int_bundles_skip_rescaling_and_positive_ones_skip_sign_checks(corpus, monkeypatch):
+    """Columns of plain ints go unscaled; a bool or Fraction entry sends every
+    column through ``primitive_vector``. All-positive ints skip the sign
+    checks; a 0 anywhere brings back one per column."""
+    calls = {"primitive_vector": 0, "_sign_failure": 0}
+    for fn in calls:
+        def counted(*args, _fn=getattr(certificates, fn), _name=fn):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(certificates, fn, counted)
+    entry = corpus["12n_225"]
+    n = entry.knot.n
+    for change, want in ((int, (0, 0)), (bool, (n, n)), (Fraction, (n, n)), (lambda x: 0, (0, n))):
+        matrix = [list(row) for row in entry.certificate.matrix]
+        matrix[0][0] = change(matrix[0][0])
+        calls.update(primitive_vector=0, _sign_failure=0)
+        _outcome(entry.knot, CertificateBundle(matrix=tuple(map(tuple, matrix))))
+        assert (calls["primitive_vector"], calls["_sign_failure"]) == want, change

@@ -368,6 +368,26 @@ def test_bad_input_is_a_typed_error(tmp_path, name, package_env):
 
 
 @pytest.mark.parametrize(
+    "content, argv, message",
+    [
+        (b"0 0 0\n1/0 0 0\n0 1 0\n", ["find"], "{path}:2: bad coordinate: zero denominator in '1/0'"),
+        (None, [*_SEARCH, "--screen-samples", "0", "--out"], "screen sample count must be >= 1, got 0"),
+    ],
+)
+def test_bad_input_message_names_the_problem(tmp_path, package_env, content, argv, message):
+    """Exit code 1 and exactly one error line that names the bad value."""
+    path = tmp_path / "input.txt"
+    if content is not None:
+        path.write_bytes(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "superbridge.cli", *argv, str(path)],
+        env=package_env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["exact", _data("realizations/9_22.txt")],

@@ -69,5 +69,29 @@ def test_compare_outputs_against_itself(package_env):
         env=package_env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    # 22 realizations x exact/find x text/json, 20 + 1 verify runs x 2, 12 tables, 6 searches
-    assert proc.stdout.splitlines() == ["148 invocations, 0 differ"], proc.stdout
+    # 22 realizations x exact/find x text/json, 20 + 1 verify runs x 2, 20 tampered
+    # verify runs x 2, 12 tables, 6 searches
+    assert proc.stdout.splitlines() == ["188 invocations, 0 differ"], proc.stdout
+
+
+def test_compare_outputs_tampers_one_bundle_entry_of_each_certificate(tmp_path):
+    """Each tampered copy differs from its certificate in one bundle entry,
+    raised by 1, and fails verification."""
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import compare_outputs
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    from superbridge import InvalidCertificate, load_certificate_document, verify_bundle
+
+    certs = sorted((ROOT / "src" / "superbridge" / "data" / "certificates").glob("*.cert"))
+    assert len(certs) == 20
+    for cert in certs:
+        copy = Path(compare_outputs.tamper(cert, tmp_path))
+        old = load_certificate_document(cert).bundle
+        new = load_certificate_document(copy).bundle
+        before = old.vector or [x for row in old.matrix for x in row]
+        after = new.vector or [x for row in new.matrix for x in row]
+        assert [b - a for a, b in zip(before, after) if a != b] == [1], cert.name
+        with pytest.raises(InvalidCertificate):
+            verify_bundle(load_certificate_document(copy).knot, new)

@@ -17,6 +17,7 @@ from superbridge import (
     superbridge_number,
     verify_bundle,
 )
+from superbridge.geometry import PolygonalKnot, _scaled_edges, integer_edges
 from superbridge.linalg import SuperbridgeError, format_rational
 from superbridge.search import RetryExhausted
 import importlib
@@ -230,6 +231,33 @@ class TestSamplerAgainstNumpy:
         assert rows == [tuple(e) for e in edges.tolist()]
         assert search_mod._snap(rows) == _reference_snap(edges)
 
+    def test_parallel_edges_are_redrawn(self, monkeypatch):
+        """A draw whose snapped edges all lie on one line fails the polygon's
+        all-parallel check on the sampler's own table and is drawn again."""
+        rows = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)] * 3
+        assert len({(abs(x), y, z) for x, y, z in search_mod._snap(rows)}) == 1
+        expected = random_equilateral_polygon(6, "3/2", random.Random(5))
+        isotropic, calls = search_mod._isotropic_edges, []
+
+        def first_is_a_line(n, rng):
+            calls.append(n)
+            return rows if len(calls) == 1 else isotropic(n, rng)
+
+        monkeypatch.setattr(search_mod, "_isotropic_edges", first_is_a_line)
+        assert random_equilateral_polygon(6, "3/2", random.Random(5)) == expected
+        assert len(calls) > 1
+
+    @pytest.mark.parametrize("radius", ["5/2", "3"])
+    def test_sampler_edge_table_is_the_polygons_own(self, radius):
+        """The table the sampler hands over is the one the polygon would
+        compute from its vertices, and the polygon equals one built afresh."""
+        for n in range(3, 34, 3):
+            rng = random.Random(f"table:{radius}:{n}")
+            for _ in range(4):
+                p = random_equilateral_polygon(n, radius, rng)
+                assert integer_edges(p) == _scaled_edges(p.vertices)
+                assert p == PolygonalKnot(p.name, p.vertices)
+
     def test_edge_closing_to_zero_is_redrawn(self, monkeypatch):
         """numpy turned such an edge into NaNs, and so into equal vertices."""
         rows = [(1.0, 0.0, 0.0)] * 6
@@ -259,6 +287,19 @@ class TestConfig:
     def test_negative_sample_count_names_itself(self):
         with pytest.raises(SuperbridgeError, match=r"^sample count must be >= 0, got -1$"):
             SearchConfig(n=6, target=2, samples=-1, seed=0)
+
+    @pytest.mark.parametrize(
+        "screen, message",
+        [
+            (0, r"^screen sample count must be >= 1, got 0$"),
+            (-3, r"^screen sample count must be >= 1, got -3$"),
+            (2**24 // 6 + 1, r"^bad sample counts \(screen x n must be <= 16777216\)$"),
+        ],
+    )
+    def test_screen_sample_count_bounds_name_themselves(self, screen, message):
+        with pytest.raises(SuperbridgeError, match=message):
+            SearchConfig(n=6, target=2, samples=1, seed=0, screen_samples=screen)
+        SearchConfig(n=6, target=2, samples=1, seed=0, screen_samples=2**24 // 6)
 
     @pytest.mark.parametrize("radius", ["abc", "1/0", "0", "-3/2", 0, Fraction(-1)])
     def test_radius_must_be_positive_rational(self, radius):
