@@ -13,10 +13,11 @@ straight from the polygon's integer edge table, so a certificate search
 depends only on the polygon's shape: rescaled or translated coordinates
 give the same table and the same result. A polygon's systems are signed
 once and kept on the polygon, as the polygon keeps its edge table. Each
-system's rows are kept beside its columns, and for odd n the same rows
-rotated by the system's published rotation, so either candidate of a system
-costs one C-level sum per row and no copy of the column. An odd bundle's
-columns are gathered by one transpose. A bundle of plain ints is checked as
+system's rows are kept beside its columns. The first odd bundle check adds
+the same rows rotated by each system's published rotation, so either
+candidate of a system costs one C-level sum per row and no copy of the
+column; certificate search never builds them. An odd bundle's columns are
+gathered by one transpose. A bundle of plain ints is checked as
 it is: its signs and residuals cannot change under the positive rescaling
 ``primitive_vector`` would apply, so only other entry types go through it.
 Columns are sign-checked once each, or not at all when every entry is
@@ -171,33 +172,39 @@ def _signed_systems(edges: Sequence[Sequence]) -> tuple[tuple[tuple, tuple], ...
     )
 
 
-def _kept_systems(p: PolygonalKnot) -> tuple[tuple[tuple[tuple, tuple], ...], tuple]:
-    """(``_signed_systems`` of p's integer edge table, published rows), once per polygon.
+def _polygon_systems(p: PolygonalKnot) -> tuple[tuple[tuple, tuple], ...]:
+    """``_signed_systems`` of p's integer edge table, signed once per polygon.
 
-    For odd n, published rows j - 1 are the rows of E_j rotated by its
-    published rotation r, ``row[r:] + row[:r]``: row . u for the published
-    candidate u[p] = column[(p - r) mod n] is the rotated row . column. For
-    even n there are none. Kept on p as a plain attribute on first use, as
-    p keeps its edge table: ``dataclasses.replace`` builds a polygon without
-    it, and pickling carries it with the vertices it was signed from.
+    Kept on p as a plain attribute on first use, as p keeps its edge table,
+    in a pair whose second half ``_published_rows`` fills: ``dataclasses.replace``
+    builds a polygon without it, and pickling carries it with the vertices
+    it was signed from.
     """
     kept = p.__dict__.get("_signed_systems")
     if kept is None:
-        n = p.n
-        systems = _signed_systems(integer_edges(p))
+        kept = (_signed_systems(integer_edges(p)), None)
+        object.__setattr__(p, "_signed_systems", kept)
+    return kept[0]
+
+
+def _published_rows(p: PolygonalKnot) -> tuple[tuple, ...]:
+    """For odd n, the rows of each E_j rotated by its published rotation r.
+
+    Item j - 1 is ``row[r:] + row[:r]`` for each row of E_j: row . u for the
+    published candidate u[p] = column[(p - r) mod n] is the rotated row .
+    column. Built on the first bundle check and kept beside p's systems, in
+    the same attribute, so certificate search never builds them.
+    """
+    systems = _polygon_systems(p)
+    published = p.__dict__["_signed_systems"][1]
+    if published is None:
         published = tuple(
             tuple(row[r:] + row[:r] for row in rows)
             for j, (_, rows) in enumerate(systems, start=1)
-            for r in [published_column_for_system(n, j)[1]]
-        ) if n % 2 else ()
-        kept = (systems, published)
-        object.__setattr__(p, "_signed_systems", kept)
-    return kept
-
-
-def _polygon_systems(p: PolygonalKnot) -> tuple[tuple[tuple, tuple], ...]:
-    """``_signed_systems`` of p's integer edge table, kept by ``_kept_systems``."""
-    return _kept_systems(p)[0]
+            for r in [published_column_for_system(p.n, j)[1]]
+        )
+        object.__setattr__(p, "_signed_systems", (systems, published))
+    return published
 
 
 def build_even_system(e: EdgeVectors) -> EvenSystem:
@@ -267,10 +274,9 @@ def verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBo
         columns = [primitive_vector(col) for col in zip(*matrix)]
         positive = False
     signs = [None] * n if positive else [_sign_failure(col) for col in columns]
-    systems, published = _kept_systems(p)
     assignment = []
     uncovered = []
-    for j, ((_, rows), turned) in enumerate(zip(systems, published), start=1):
+    for j, ((_, rows), turned) in enumerate(zip(_polygon_systems(p), _published_rows(p)), start=1):
         if signs[j - 1] is None and _residual_failure(rows, columns[j - 1]) is None:
             assignment.append((j, j - 1, 0))
             continue

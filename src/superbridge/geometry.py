@@ -68,23 +68,7 @@ class PolygonalKnot:
         n = len(self.vertices)
         if n < 3:
             raise DegeneratePolygon(f"{self.name}: need at least 3 vertices, got {n}")
-        self._keep_edges(_scaled_edges(self.vertices))
-
-    @classmethod
-    def _with_edges(cls, name: str, vertices: tuple[Vec3, ...], table) -> "PolygonalKnot":
-        """The polygon on at least 3 ``vertices`` whose integer edge table is
-        ``table``, which must equal ``_scaled_edges(vertices)``; a caller
-        that already holds the table skips recomputing it. The same checks
-        as ``__post_init__`` run on it, with the same messages."""
-        p = cls.__new__(cls)
-        for key, value in (("name", name), ("vertices", vertices), ("provenance", "")):
-            object.__setattr__(p, key, value)
-        p._keep_edges(table)
-        return p
-
-    def _keep_edges(self, table: tuple[tuple[int, int, int], ...]) -> None:
-        """Keep ``table`` as the integer edge table after the degeneracy checks."""
-        n = len(table)
+        table = _scaled_edges(self.vertices)
         for i, e in enumerate(table):
             if is_zero3(e):
                 raise DegeneratePolygon(f"{self.name}: vertices {i} and {(i + 1) % n} coincide")

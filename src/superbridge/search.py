@@ -19,8 +19,7 @@ operations in the same order, so the polygons are the same bit for bit;
 tests/test_search.py keeps those sweeps as the reference.
 From the snap on everything is integer arithmetic: the residual closure
 defect is folded in exactly, and confinement is an exact integer test.
-Fractions are built only for the returned polygon's vertices; its integer
-edge table is the sampler's own edges over their gcd. The screen draws its
+Fractions are built only for the returned polygon. The screen draws its
 directions from ``random.Random`` bytes too; numpy.random is never
 imported. Knot-type identification of candidates is out of scope;
 candidates are written to files for external classification.
@@ -37,7 +36,7 @@ from typing import Iterator, Optional
 from .certificates import CertificateBundle, find_certificate
 from .enumeration import SCREEN_ENTRIES_MAX, jin_upper_bound, sampled_lower_bound, superbridge_number
 from .geometry import PolygonalKnot
-from .linalg import NotRational, Rational, SuperbridgeError, primitive_vector, rational
+from .linalg import NotRational, Rational, SuperbridgeError, rational
 
 
 class RetryExhausted(SuperbridgeError):
@@ -196,17 +195,10 @@ def random_equilateral_polygon(
         far = max((n * x - cx) ** 2 + (n * y - cy) ** 2 + (n * z - cz) ** 2 for x, y, z in verts)
         if far * far_scale > far_max:
             continue
-        # The edges over den, divided by their gcd, are the polygon's
-        # integer edge table: both are coprime and positively proportional
-        # to the same edges.
-        flat = primitive_vector(
-            b - a for u, v in zip(verts, verts[1:] + verts[:1]) for a, b in zip(u, v)
-        )
         try:
-            return PolygonalKnot._with_edges(
-                name,
-                tuple(tuple(Fraction(c, den) for c in v) for v in verts),
-                tuple(zip(flat[0::3], flat[1::3], flat[2::3])),
+            return PolygonalKnot(
+                name=name,
+                vertices=tuple(tuple(Fraction(c, den) for c in v) for v in verts),
             )
         except SuperbridgeError:
             continue

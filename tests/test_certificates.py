@@ -37,8 +37,8 @@ from superbridge.certificates import (
     FindResult,
     OddEdgeCount,
     ShiftEvidence,
-    _kept_systems,
     _polygon_systems,
+    _published_rows,
     _signed_systems,
     published_column_for_system,
     shift_sign,
@@ -693,9 +693,7 @@ def test_entries_of_other_types_get_the_verdict_of_their_int_form(corpus, name, 
 
 def _rotated_rows(p: PolygonalKnot) -> tuple:
     """Rows of each odd system E_j rotated by its published rotation r,
-    ``row[r:] + row[:r]``, built afresh; none for even n."""
-    if p.n % 2 == 0:
-        return ()
+    ``row[r:] + row[:r]``, built afresh."""
     return tuple(
         tuple(row[r:] + row[:r] for row in rows)
         for j, (_, rows) in enumerate(_signed_systems(integer_edges(p)), start=1)
@@ -721,12 +719,24 @@ def test_signed_systems_follow_the_vertices_of_every_copy(corpus, name):
     for q in copies:
         fresh = PolygonalKnot(q.name, q.vertices)
         assert _polygon_systems(q) == _signed_systems(integer_edges(fresh))
-        assert _kept_systems(q)[1] == _rotated_rows(fresh)
-        assert len(_kept_systems(q)[1]) == (q.n if q.n % 2 else 0)
+        if q.n % 2:
+            assert _published_rows(q) == _rotated_rows(fresh)
         for bundle in (entry.certificate, other.certificate):
             assert _outcome(q, bundle) == _outcome(fresh, bundle)
     assert _outcome(copies[3], other.certificate)[0] == "verified"
     assert _outcome(copies[3], entry.certificate)[0] == "rejected"
+
+
+def test_rotated_rows_are_built_by_the_first_bundle_check(corpus):
+    """Certificate search reads the kept systems alone; the rotated rows
+    join them, in the same attribute, when a bundle is first checked."""
+    entry = corpus["9_36"]
+    p = PolygonalKnot(entry.knot.name, entry.knot.vertices)
+    find_certificate(p)
+    systems, published = p.__dict__["_signed_systems"]
+    assert published is None
+    verify_bundle(p, entry.certificate)
+    assert p.__dict__["_signed_systems"] == (systems, _rotated_rows(p))
 
 
 def _reference_verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBound:

@@ -3,7 +3,6 @@ import dataclasses
 import math
 import pickle
 import random
-import re
 import time
 from fractions import Fraction
 from math import gcd
@@ -38,28 +37,6 @@ from superbridge.linalg import primitive_vector
 
 
 class TestPolygonalKnot:
-    @pytest.mark.parametrize(
-        "verts",
-        [
-            ((0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 1, 0)),
-            ((0, 0, 0), (1, 0, 0), (3, 0, 0), (2, 0, 0)),
-            ((0, 0, 0), (1, 2, 3), (0, 1, 0), (5, 0, -1)),
-        ],
-    )
-    def test_a_known_edge_table_gets_the_constructor_checks(self, verts):
-        """A polygon built on the edge table a caller already holds passes or
-        fails the constructor's checks with the same message, and equals
-        the polygon the constructor builds."""
-        vertices = tuple(tuple(Fraction(c) for c in v) for v in verts)
-        try:
-            want = PolygonalKnot("k", vertices)
-        except DegeneratePolygon as exc:
-            with pytest.raises(DegeneratePolygon, match=f"^{re.escape(str(exc))}$"):
-                PolygonalKnot._with_edges("k", vertices, _scaled_edges(vertices))
-        else:
-            got = PolygonalKnot._with_edges("k", vertices, _scaled_edges(vertices))
-            assert got == want and integer_edges(got) == integer_edges(want)
-
     def test_rejects_too_few_vertices(self):
         with pytest.raises(DegeneratePolygon):
             PolygonalKnot.from_coordinates("bad", [(0, 0, 0), (1, 0, 0)])

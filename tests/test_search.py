@@ -17,7 +17,6 @@ from superbridge import (
     superbridge_number,
     verify_bundle,
 )
-from superbridge.geometry import PolygonalKnot, _scaled_edges, integer_edges
 from superbridge.linalg import SuperbridgeError, format_rational
 from superbridge.search import RetryExhausted
 import importlib
@@ -233,7 +232,7 @@ class TestSamplerAgainstNumpy:
 
     def test_parallel_edges_are_redrawn(self, monkeypatch):
         """A draw whose snapped edges all lie on one line fails the polygon's
-        all-parallel check on the sampler's own table and is drawn again."""
+        all-parallel check and is drawn again."""
         rows = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)] * 3
         assert len({(abs(x), y, z) for x, y, z in search_mod._snap(rows)}) == 1
         expected = random_equilateral_polygon(6, "3/2", random.Random(5))
@@ -246,17 +245,6 @@ class TestSamplerAgainstNumpy:
         monkeypatch.setattr(search_mod, "_isotropic_edges", first_is_a_line)
         assert random_equilateral_polygon(6, "3/2", random.Random(5)) == expected
         assert len(calls) > 1
-
-    @pytest.mark.parametrize("radius", ["5/2", "3"])
-    def test_sampler_edge_table_is_the_polygons_own(self, radius):
-        """The table the sampler hands over is the one the polygon would
-        compute from its vertices, and the polygon equals one built afresh."""
-        for n in range(3, 34, 3):
-            rng = random.Random(f"table:{radius}:{n}")
-            for _ in range(4):
-                p = random_equilateral_polygon(n, radius, rng)
-                assert integer_edges(p) == _scaled_edges(p.vertices)
-                assert p == PolygonalKnot(p.name, p.vertices)
 
     def test_edge_closing_to_zero_is_redrawn(self, monkeypatch):
         """numpy turned such an edge into NaNs, and so into equal vertices."""
