@@ -16,7 +16,7 @@ import numpy as np
 
 from .enumeration import _DIRECTION_BOUND, DegenerateEdgeSet
 from .geometry import Direction
-from .linalg import SuperbridgeError, cross3, dot3, primitive_vector
+from .linalg import SuperbridgeError, cross3, primitive_vector
 
 #: Bound on the temporary bytes of one block of the arrangement kernel, for
 #: n up to KERNEL_TEMP_BYTES // 256 - 4 edges. A block of k vertex pairs
@@ -87,6 +87,8 @@ def _cells(prim: list[tuple[int, ...]]):
         integer, 0 or at least 1 in size, so any K > max(|d1 . e| + |d2 . e|)
         works, and that is at most (|d1|_1 + |d2|_1) * edge_max: a trial of
         K = 2^10, 2^11, ... past this bound can only fail by an internal error.
+        Each edge's signed products a, b, c with v0, d1 and d2 are taken once,
+        so a trial K = 2^t is n shift-adds (a << 2t) + (b << t) + c.
         """
         pair, j = divmod(int(first[i]), 16)
         na, nb = normals[pa[pair]], normals[pb[pair]]
@@ -95,16 +97,18 @@ def _cells(prim: list[tuple[int, ...]]):
         g = -1 if j & 8 else 1
         s1, s2 = (-g if j & 2 else g), (-g if j & 1 else g)
         v0, d1, d2 = ([s * x for x in u] for s, u in ((g, v0), (s1, t1), (s2, t2)))
-        signs = np.where(bits[i], 1, -1).tolist()
-        bound = (sum(map(abs, d1)) + sum(map(abs, d2))) * edge_max
-        k = 1 << 10
-        while True:
-            w = tuple(k * k * v0[d] + k * d1[d] + d2[d] for d in range(3))
-            if all(s * dot3(w, em) > 0 for em, s in zip(prim, signs)):
-                return Direction(tuple(Fraction(x) for x in primitive_vector(w)))
-            if k > bound:
+        abc = [
+            [s * (u[0] * x + u[1] * y + u[2] * z) for u in (v0, d1, d2)]
+            for (x, y, z), s in zip(prim, np.where(bits[i], 1, -1).tolist())
+        ]
+        top = ((sum(map(abs, d1)) + sum(map(abs, d2))) * edge_max).bit_length()
+        t = 10
+        while not all((a << 2 * t) + (b << t) + c > 0 for a, b, c in abc):
+            if t >= top:
                 raise SuperbridgeError("internal: witness shrink failed past its proven bound")
-            k *= 2
+            t += 1
+        w = ((x << 2 * t) + (y << t) + z for x, y, z in zip(v0, d1, d2))
+        return Direction(tuple(Fraction(x) for x in primitive_vector(w)))
 
     return bits, first, witness
 

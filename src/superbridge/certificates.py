@@ -28,8 +28,7 @@ column (n - j) mod n left unnegated, so a null vector of E_j that is 0 in
 that column is a null vector of E_(j+1). ``find_certificate`` therefore
 tests the previous shift's vector on E_j's kept rows before it runs the
 simplex; the evidence of a realizable shift, which has no null vector, is
-still decided from scratch and so cannot change. The 22 realizations need
-90 simplex runs instead of 206.
+still decided from scratch and so cannot change.
 
 Published bundle layout. Shipped certificate matrices list one null vector
 per column, generated by rotating the edge list rather than shifting the

