@@ -3,8 +3,9 @@
     python3 scripts/compare_outputs.py PARENT CHANGE
 
 Both checkouts run the same invocations on the data files of CHANGE:
-``sb exact`` and ``sb find`` (text and ``--json``) on every realization of
-the corpus manifest, ``sb verify`` (text and ``--json``) on each shipped
+``sb exact`` and ``sb find`` (text and ``--json``) and ``sb normalize``
+(``--pose``, ``--digits 3`` and both) on every realization of the corpus
+manifest, ``sb normalize`` with neither flag on the first, ``sb verify`` (text and ``--json``) on each shipped
 certificate, on all of them at once and on a +1-tampered copy of each
 (written once, to a temporary directory both checkouts read, so rejection
 diagnostics are compared too), ``sb table`` on each metadata
@@ -29,6 +30,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+#: The ``sb normalize`` flags run on every realization.
+NORMALIZE = [["--pose"], ["--digits", "3"], ["--pose", "--digits", "3"]]
 #: Stands for the fresh output directory of each ``sb search`` run.
 OUT = "OUT"
 SEARCHES = [
@@ -69,6 +72,8 @@ def invocations(data: Path, tampered: Path) -> list[list[str]]:
     for item in manifest:
         path = str(data / item["realization"])
         runs += [[cmd, path, *flag] for cmd in ("exact", "find") for flag in ([], ["--json"])]
+        runs += [["normalize", path, *flag] for flag in NORMALIZE]
+    runs.append(["normalize", str(data / manifest[0]["realization"])])
     certs = [str(data / item["certificate"]) for item in manifest if item.get("certificate")]
     bad = [tamper(Path(c), tampered) for c in certs]
     for paths in [[c] for c in certs] + [certs] + [[c] for c in bad]:

@@ -70,6 +70,9 @@ class KnotRecord:
 
 @dataclass(frozen=True)
 class BoundInterval:
+    """Bounds lo <= sb <= hi on a superbridge index, 1 <= lo <= hi; printed
+    as the value when exact, else as ``[lo,hi]``."""
+
     lo: int
     hi: int
 
@@ -119,6 +122,7 @@ def upper_bound(r: KnotRecord) -> int:
 
 
 def interval(r: KnotRecord) -> BoundInterval:
+    """[lower_bound(r), upper_bound(r)]; InconsistentRecord if they cross."""
     lo = lower_bound(r)
     hi = upper_bound(r)
     if lo > hi:

@@ -12,11 +12,13 @@ every system, and both verification and certificate search build them
 straight from the polygon's integer edge table, so a certificate search
 depends only on the polygon's shape: rescaled or translated coordinates
 give the same table and the same result. A polygon's systems are signed
-once and kept on the polygon, as the polygon keeps its edge table. Each
-system's rows are kept beside its columns. The first odd bundle check adds
-the same rows rotated by each system's published rotation, so either
-candidate of a system costs one C-level sum per row and no copy of the
-column; certificate search never builds them. An odd bundle's columns are
+once and kept on the polygon as their three rows, as the polygon keeps its
+edge table; the simplex and every null-vector check read those rows, and
+only ``build_even_system`` and ``build_odd_systems`` turn them into
+columns. The first odd bundle check keeps beside them the same rows rotated
+by each system's published rotation, so either candidate of a system costs
+one C-level sum per row and no copy of the column; certificate search never
+builds them. ``_kept`` keeps both tables. An odd bundle's columns are
 gathered by one transpose. A bundle of plain ints is checked as
 it is: its signs and residuals cannot change under the positive rescaling
 ``primitive_vector`` would apply, so only other entry types go through it.
@@ -155,8 +157,8 @@ def shift_sign(n: int, j: int, i: int) -> int:
     return -1 if (i + j - 1) % n % 2 else 1
 
 
-def _signed_systems(edges: Sequence[Sequence]) -> tuple[tuple[tuple, tuple], ...]:
-    """(columns, rows) of every signed system on ``edges``, by the parity of n.
+def _signed_systems(edges: Sequence[Sequence]) -> tuple[tuple[tuple, ...], ...]:
+    """The three rows of every signed system on ``edges``, by the parity of n.
 
     Even n: the alternating system alone. Odd n: E_1..E_n, each E_j the
     signs of E_1 shifted by j - 1. Each edge is negated once, each system transposed once.
@@ -165,25 +167,28 @@ def _signed_systems(edges: Sequence[Sequence]) -> tuple[tuple[tuple, tuple], ...
     signed = (edges, tuple(neg3(e) for e in edges))
     flips = [shift_sign(n, 1, i) < 0 for i in range(n)]
     return tuple(
-        (cols, tuple(zip(*cols)))
+        tuple(zip(*(signed[f][i] for i, f in enumerate(flips[s:] + flips[:s]))))
         for s in (range(n) if n % 2 else (0,))
-        for cols in [tuple(signed[f][i] for i, f in enumerate(flips[s:] + flips[:s]))]
     )
 
 
-def _polygon_systems(p: PolygonalKnot) -> tuple[tuple[tuple, tuple], ...]:
-    """``_signed_systems`` of p's integer edge table, signed once per polygon.
+def _kept(p: PolygonalKnot, name: str, build):
+    """p's table ``name``, built by ``build(p)`` on first use and kept on p.
 
-    Kept on p as a plain attribute on first use, as p keeps its edge table,
-    in a pair whose second half ``_published_rows`` fills: ``dataclasses.replace``
+    A plain attribute, as p keeps its edge table: ``dataclasses.replace``
     builds a polygon without it, and pickling carries it with the vertices
-    it was signed from.
+    it was built from.
     """
-    kept = p.__dict__.get("_signed_systems")
-    if kept is None:
-        kept = (_signed_systems(integer_edges(p)), None)
-        object.__setattr__(p, "_signed_systems", kept)
-    return kept[0]
+    table = p.__dict__.get(name)
+    if table is None:
+        table = build(p)
+        object.__setattr__(p, name, table)
+    return table
+
+
+def _polygon_systems(p: PolygonalKnot) -> tuple[tuple[tuple, ...], ...]:
+    """``_signed_systems`` of p's integer edge table, signed once per polygon."""
+    return _kept(p, "_signed_systems", lambda p: _signed_systems(integer_edges(p)))
 
 
 def _published_rows(p: PolygonalKnot) -> tuple[tuple, ...]:
@@ -191,19 +196,14 @@ def _published_rows(p: PolygonalKnot) -> tuple[tuple, ...]:
 
     Item j - 1 is ``row[r:] + row[:r]`` for each row of E_j: row . u for the
     published candidate u[p] = column[(p - r) mod n] is the rotated row .
-    column. Built on the first bundle check and kept beside p's systems, in
-    the same attribute, so certificate search never builds them.
+    column. Built on the first bundle check, so certificate search never
+    builds them.
     """
-    systems = _polygon_systems(p)
-    published = p.__dict__["_signed_systems"][1]
-    if published is None:
-        published = tuple(
-            tuple(row[r:] + row[:r] for row in rows)
-            for j, (_, rows) in enumerate(systems, start=1)
-            for r in [published_column_for_system(p.n, j)[1]]
-        )
-        object.__setattr__(p, "_signed_systems", (systems, published))
-    return published
+    return _kept(p, "_published_rows", lambda p: tuple(
+        tuple(row[r:] + row[:r] for row in rows)
+        for j, rows in enumerate(_polygon_systems(p), start=1)
+        for r in [published_column_for_system(p.n, j)[1]]
+    ))
 
 
 def build_even_system(e: EdgeVectors) -> EvenSystem:
@@ -211,7 +211,7 @@ def build_even_system(e: EdgeVectors) -> EvenSystem:
     n = len(e)
     if n % 2 != 0:
         raise OddEdgeCount(f"edge count {n} is odd")
-    return EvenSystem(matrix=GordanMatrix(columns=_signed_systems(e.edges)[0][0]))
+    return EvenSystem(matrix=GordanMatrix(columns=tuple(zip(*_signed_systems(e.edges)[0]))))
 
 
 def build_odd_systems(e: EdgeVectors) -> OddSystem:
@@ -219,7 +219,9 @@ def build_odd_systems(e: EdgeVectors) -> OddSystem:
     n = len(e)
     if n % 2 != 1:
         raise EvenEdgeCount(f"edge count {n} is even")
-    return OddSystem(systems=tuple(GordanMatrix(columns=c) for c, _ in _signed_systems(e.edges)))
+    return OddSystem(
+        systems=tuple(GordanMatrix(columns=tuple(zip(*r))) for r in _signed_systems(e.edges))
+    )
 
 
 def verify_even_certificate(p: PolygonalKnot, u: Sequence) -> VerifiedBound:
@@ -230,7 +232,7 @@ def verify_even_certificate(p: PolygonalKnot, u: Sequence) -> VerifiedBound:
     if len(u) != n:
         raise InvalidCertificate("dimension", f"vector length {len(u)} != {n}")
     u = primitive_vector(u)
-    failure = _sign_failure(u) or _residual_failure(_polygon_systems(p)[0][1], u)
+    failure = _sign_failure(u) or _residual_failure(_polygon_systems(p)[0], u)
     if failure is not None:
         raise InvalidCertificate(failure, f"{p.name}: even-system certificate rejected")
     return VerifiedBound(knot=p.name, n=n, bound=n // 2 - 1)
@@ -275,7 +277,7 @@ def verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBo
     signs = [None] * n if positive else [_sign_failure(col) for col in columns]
     assignment = []
     uncovered = []
-    for j, ((_, rows), turned) in enumerate(zip(_polygon_systems(p), _published_rows(p)), start=1):
+    for j, (rows, turned) in enumerate(zip(_polygon_systems(p), _published_rows(p)), start=1):
         if signs[j - 1] is None and _residual_failure(rows, columns[j - 1]) is None:
             assignment.append((j, j - 1, 0))
             continue
@@ -359,11 +361,11 @@ def find_certificate(p: PolygonalKnot) -> FindResult:
     vectors = []
     evidence = []
     prev = None
-    for j, (columns, rows) in enumerate(_polygon_systems(p), start=1):
+    for j, rows in enumerate(_polygon_systems(p), start=1):
         if prev is not None and _residual_failure(rows, prev) is None:
             vectors.append(prev)
             continue
-        cert = _decide(columns)
+        cert = _decide(rows)
         if isinstance(cert, SeparatingDirection):
             evidence.append(ShiftEvidence(j if n % 2 else 0, cert.v))
             prev = None

@@ -160,10 +160,10 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    knot = corpus.load_realization(args.path)
     if not args.pose and args.digits is None:
         print("normalize: nothing to do (pass --pose and/or --digits)", file=sys.stderr)
         return 2
+    knot = corpus.load_realization(args.path)
     if args.pose:
         knot = normalize_pose(knot)
     if args.digits is not None:

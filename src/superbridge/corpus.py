@@ -87,6 +87,7 @@ def bundle_lines(bundle: CertificateBundle) -> list[str]:
 
 
 def save_realization(knot: PolygonalKnot, path) -> None:
+    """Write knot as a coordinate file: a name comment, then one vertex a line."""
     lines = [f"# {knot.name}: {knot.n}-vertex closed polygon", *map(vertex_line, knot.vertices)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -100,6 +101,9 @@ class CertificateDocument:
 
 
 def load_certificate_document(path) -> CertificateDocument:
+    """Parse a certificate file: ``knot:``, ``parity:``, ``vertices:`` and its
+    rows, then the bundle (``u:`` for even, ``U:`` and n rows for odd).
+    A malformed file raises ParseError naming the line."""
     lines = list(_content_lines(path))
     pos = 0
 
@@ -172,6 +176,9 @@ def save_certificate_document(doc: CertificateDocument, path) -> None:
 
 @dataclass(frozen=True)
 class CorpusEntry:
+    """A shipped realization, its certificate if published, the claimed
+    superbridge number and where the paper gives it."""
+
     knot: PolygonalKnot
     certificate: Optional[CertificateBundle]
     claimed_sb: int
@@ -225,6 +232,7 @@ def corpus_entries() -> tuple[CorpusEntry, ...]:
 
 
 def corpus_entry(name: str) -> CorpusEntry:
+    """The shipped entry whose knot is named ``name``."""
     for entry in corpus_entries():
         if entry.knot.name == name:
             return entry

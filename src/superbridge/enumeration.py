@@ -45,6 +45,9 @@ class RealizablePattern:
 
 @dataclass(frozen=True)
 class SuperbridgeResult:
+    """An exact superbridge number, a direction attaining it and the number
+    of realizable sign patterns it was taken over."""
+
     value: int
     witness_direction: Direction
     pattern_count: int
@@ -56,29 +59,7 @@ def realizable_patterns(e: EdgeVectors) -> tuple[RealizablePattern, ...]:
 
     Output is sorted lexicographically by pattern and is closed under the
     global sign flip (antipodal cells). Raises DegenerateEdgeSet when the
-    edges define fewer than two distinct great circles.
-
-    Each cell has an arrangement vertex on its boundary and is a sector
-    between tangent rays of circles through it; perturbing the vertex along
-    one ray, then infinitesimally toward another circle's tangent, lands in
-    a flanking sector. So for the primitive edges and each pair a < b of
-    circle normals the kernel forms V = N_a x N_b, T1 = V x N_a and
-    T2 = V x N_b. Perturbation (V, s1 T1, s2 T2) gives edge e the sign of
-    V . e, where that is 0 of s1 T1 . e, and where that is also 0 (e is
-    then parallel to N_a) of s2 T2 . e, which is not 0. Swapping the
-    circles swaps T1 and T2; the cells at -V are the 8 rows negated. With M
-    the largest |entry| of an edge, |V| <= 2M^2 and |T| <= 4M^3 entrywise,
-    so |V . e| <= 6M^3 and |T . e| <= 12M^4: the products are exact int64
-    when 12M^4 < 2^62, and Python ints otherwise. Pairs run in blocks
-    within KERNEL_TEMP_BYTES. Only the 8 perturbations at +V are signed:
-    their rows, packed into big-endian uint64 words so that word order is
-    tuple order, are held block by block and merge into those found so far
-    whenever the held rows outnumber them, and after the last block, each
-    pattern keeping its first visit. The complements of the survivors then
-    stand for the 8 at -V (a row first seen as perturbation j of a pair is
-    first negated as j + 8), and one more merge keeps, for each pattern, the
-    first triple (v0, d1, d2) in visit order: pair, 8 perturbations, their 8
-    negations.
+    edges define fewer than two distinct great circles. The cells come from ``_kernel._cells``, which describes how.
     """
     import numpy as np
 

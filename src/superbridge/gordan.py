@@ -11,13 +11,15 @@ Bland's anti-cycling rule. Infeasibility yields dual multipliers from
 which the separating direction is read off. Every certificate is verified
 in exact arithmetic before being returned. Only B, the positive multiple
 of A whose entries are coprime integers, is decided, so the answer
-depends on A only up to a positive scale. The simplex runs in revised
-form: it keeps each row of the basis inverse in integers and prices a
-column of B only when Bland's scan reaches it.
+depends on A only up to a positive scale. B is decided as its three
+rows. The simplex runs in revised form: it keeps each row of the basis
+inverse in integers and prices a column of B only when Bland's scan
+reaches it.
 
-``null_vector_failure`` is the package's one null-vector check: a sign check
-and a residual check on rows, each one pass at C level, which the simplex
-recheck uses and certificate verifiers call on rows kept on the polygon.
+``_sign_failure`` and ``_residual_failure`` are the package's null-vector
+checks, each one pass at C level on rows: the simplex recheck runs them on
+the rows it decided, and certificate verifiers on rows kept on the polygon.
+``null_vector_failure`` runs them, after a dimension check, on columns.
 """
 
 from __future__ import annotations
@@ -102,7 +104,9 @@ def null_vector_failure(columns: Sequence[Sequence], u: Sequence) -> Optional[st
     The checks, in order, are "dimension", "negative_entry", "zero_vector"
     and "nonzero_residual". Columns and u must already be exact numbers
     (ints or Fractions); nothing is converted here. The last three are
-    ``_sign_failure`` and ``_residual_failure`` on the rows of A.
+    ``_sign_failure`` and ``_residual_failure`` on the rows of A. This is
+    the column-form check behind ``verify_null_combination``; code that
+    holds rows calls those two directly.
     """
     if len(u) != len(columns):
         return "dimension"
@@ -139,27 +143,27 @@ def gordan_decide(a: GordanMatrix) -> Certificate:
     of the certificate is an explicit raise, so ``python -O`` keeps it.
     """
     b = primitive_vector(x for col in a.columns for x in col)
-    return _decide(tuple(zip(b[0::3], b[1::3], b[2::3])))
+    return _decide((b[0::3], b[1::3], b[2::3]))
 
 
-def _decide(cols: tuple[tuple[int, ...], ...]) -> Certificate:
-    """``gordan_decide`` on the integer columns ``cols``, rechecked on them."""
-    feasible, u, y = _phase_one(cols)
+def _decide(rows: tuple[tuple[int, ...], ...]) -> Certificate:
+    """``gordan_decide`` on the three integer rows of B, rechecked on them."""
+    feasible, u, y = _phase_one(rows)
     if feasible:
         cert_u = primitive_vector(u)
-        if null_vector_failure(cols, cert_u) is not None:
+        if _sign_failure(cert_u) or _residual_failure(rows, cert_u):
             raise SuperbridgeError("internal: null combination failed recheck")
         return NullCombination(u=cert_u)
     v = primitive_vector((-y[0], -y[1], -y[2]))
-    if not all(dot3(v, col) > 0 for col in cols):
+    if not all(dot3(v, col) > 0 for col in zip(*rows)):
         raise SuperbridgeError("internal: separating direction failed recheck")
     return SeparatingDirection(v=v)
 
 
-def _phase_one(cols: tuple[tuple[int, ...], ...]):
+def _phase_one(rows: tuple[tuple[int, ...], ...]):
     """Revised phase-one simplex for {u >= 0 : B u = 0, sum(u) = 1}.
 
-    ``cols`` are the integer columns of B. Returns (True, u, None) on
+    ``rows`` are the three integer rows of B. Returns (True, u, None) on
     feasibility, else (False, None, y) where y are the optimal dual
     multipliers of the four equality rows.
 
@@ -183,8 +187,8 @@ def _phase_one(cols: tuple[tuple[int, ...], ...]):
     choice, and with it every basis, u and y, is that of the rational
     tableau.
     """
-    ell = len(cols)
-    rows = [[int(i == r) for i in range(4)] + [int(r == 3)] for r in range(4)]
+    ell = len(rows[0])
+    tableau = [[int(i == r) for i in range(4)] + [int(r == 3)] for r in range(4)]
     # Minimize the artificial sum from the all-artificial basis; the rhs
     # entry of the cost row is minus the objective value.
     obj = [0, 0, 0, 0, -1, 1]
@@ -195,42 +199,41 @@ def _phase_one(cols: tuple[tuple[int, ...], ...]):
         d0, d1, d2, d3 = f - obj[0], f - obj[1], f - obj[2], f - obj[3]
         # Column c of B is priced: the four constraint rows' coefficients
         # and the cost row's reduced cost.
-        for enter, (x, y, z) in enumerate(cols):
+        for enter, (x, y, z) in enumerate(zip(*rows)):
             price = d0 * x + d1 * y + d2 * z + d3
             if price > 0:
-                coefs = [r0 * x + r1 * y + r2 * z + r3 for r0, r1, r2, r3, _ in rows]
+                coefs = [r0 * x + r1 * y + r2 * z + r3 for r0, r1, r2, r3, _ in tableau]
                 cost = -price
                 break
         else:
             i = next((i for i in range(4) if obj[i] < 0), None)
             if i is None:
                 break
-            enter, coefs, cost = ell + i, [row[i] for row in rows], obj[i]
+            enter, coefs, cost = ell + i, [row[i] for row in tableau], obj[i]
         leave = None
         for r, coef in enumerate(coefs):
             if coef <= 0:
                 continue
             if leave is not None:
                 # rhs/coef against the best row so far; Bland breaks ties
-                lhs, rhs = rows[r][4] * coefs[leave], rows[leave][4] * coef
+                lhs, rhs = tableau[r][4] * coefs[leave], tableau[leave][4] * coef
                 if lhs > rhs or (lhs == rhs and basis[r] > basis[leave]):
                     continue
             leave = r
         if leave is None:
             raise SuperbridgeError("internal: phase-one objective unbounded")
-        pivot, piv = rows[leave], coefs[leave]
+        pivot, piv = tableau[leave], coefs[leave]
         for r, coef in enumerate(coefs):
             if r != leave and coef != 0:
-                rows[r] = _reduced([s * piv - coef * t for s, t in zip(rows[r], pivot)])
+                tableau[r] = _reduced([s * piv - coef * t for s, t in zip(tableau[r], pivot)])
         obj = _reduced([s * piv - cost * t for s, t in zip(obj, pivot)] + [f * piv])
         basis[leave] = enter
 
     if obj[4] == 0:
         u = [Fraction(0)] * ell
-        for (a0, a1, a2, a3, rhs), c in zip(rows, basis):
+        for (a0, a1, a2, a3, rhs), c in zip(tableau, basis):
             if c < ell:
-                x, y, z = cols[c]
-                u[c] = Fraction(rhs, a0 * x + a1 * y + a2 * z + a3)
+                u[c] = Fraction(rhs, a0 * rows[0][c] + a1 * rows[1][c] + a2 * rows[2][c] + a3)
         return True, u, None
     f = obj[5]
     return False, None, [Fraction(f - obj[i], f) for i in range(4)]

@@ -91,6 +91,9 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class Candidate:
+    """A sampled polygon within the search target, its exact superbridge
+    number, and its certificate bundle when that is below floor(n/2)."""
+
     knot: PolygonalKnot
     exact_sb: int
     certificate: Optional[CertificateBundle] = None

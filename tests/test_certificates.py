@@ -476,8 +476,8 @@ def _reference_find_certificate(p: PolygonalKnot) -> FindResult:
     """``find_certificate`` as it was before odd shifts reused null vectors:
     ``_decide`` on every system."""
     vectors, evidence = [], []
-    for j, (columns, _) in enumerate(_polygon_systems(p), start=1):
-        cert = _decide(columns)
+    for j, rows in enumerate(_polygon_systems(p), start=1):
+        cert = _decide(rows)
         if isinstance(cert, SeparatingDirection):
             evidence.append(ShiftEvidence(j if p.n % 2 else 0, cert.v))
         else:
@@ -696,7 +696,7 @@ def _rotated_rows(p: PolygonalKnot) -> tuple:
     ``row[r:] + row[:r]``, built afresh."""
     return tuple(
         tuple(row[r:] + row[:r] for row in rows)
-        for j, (_, rows) in enumerate(_signed_systems(integer_edges(p)), start=1)
+        for j, rows in enumerate(_signed_systems(integer_edges(p)), start=1)
         for r in [published_column_for_system(p.n, j)[1]]
     )
 
@@ -729,14 +729,16 @@ def test_signed_systems_follow_the_vertices_of_every_copy(corpus, name):
 
 def test_rotated_rows_are_built_by_the_first_bundle_check(corpus):
     """Certificate search reads the kept systems alone; the rotated rows
-    join them, in the same attribute, when a bundle is first checked."""
+    are kept beside them when a bundle is first checked."""
     entry = corpus["9_36"]
     p = PolygonalKnot(entry.knot.name, entry.knot.vertices)
     find_certificate(p)
-    systems, published = p.__dict__["_signed_systems"]
-    assert published is None
+    systems = p.__dict__["_signed_systems"]
+    assert systems == _signed_systems(integer_edges(p))
+    assert "_published_rows" not in p.__dict__
     verify_bundle(p, entry.certificate)
-    assert p.__dict__["_signed_systems"] == (systems, _rotated_rows(p))
+    assert p.__dict__["_signed_systems"] is systems
+    assert p.__dict__["_published_rows"] == _rotated_rows(p)
 
 
 def _reference_verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBound:
@@ -752,7 +754,7 @@ def _reference_verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) ->
         raise InvalidCertificate(
             "dimension", f"{p.name}: bundle is {bundle.size}x{bundle.size}, edges {n}"
         )
-    systems = [columns for columns, _ in _signed_systems(integer_edges(p))]
+    systems = [tuple(zip(*rows)) for rows in _signed_systems(integer_edges(p))]
     columns = [primitive_vector(col) for col in zip(*bundle.matrix)]
 
     def failure(j: int, c: int, r: int):

@@ -190,6 +190,17 @@ class TestNormalize:
         f.write_text("0 0 0\n1 0 0\n1 1 0\n0 1 0\n")
         assert main(["normalize", str(f)]) == 2
 
+    @pytest.mark.parametrize("text", [None, "0 0 0\nx 0 0\n0 1 0\n"], ids=["missing", "malformed"])
+    def test_without_an_action_no_file_is_read(self, capsys, tmp_path, text):
+        """With neither flag, a missing or malformed file is the same usage
+        error as a good one: the flags are checked before the file is read."""
+        f = tmp_path / "bad.txt"
+        if text is not None:
+            f.write_text(text)
+        assert main(["normalize", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["normalize: nothing to do (pass --pose and/or --digits)"]
+
     def test_quantize_only(self, capsys, tmp_path):
         f = tmp_path / "tiny.txt"
         f.write_text("0 0 0\n0.99963 0 0\n0.5 0.5 0\n")

@@ -320,8 +320,8 @@ def _assert_phase_one_matches_reference(m: GordanMatrix):
     """The revised simplex on B, A's coprime integer columns, pivots as the
     full rational tableau of B."""
     b = primitive_vector(x for col in m.columns for x in col)
-    cols = tuple(zip(b[0::3], b[1::3], b[2::3]))
-    assert _phase_one(cols) == _reference_phase_one(GordanMatrix(columns=cols))
+    rows = (b[0::3], b[1::3], b[2::3])
+    assert _phase_one(rows) == _reference_phase_one(GordanMatrix(columns=tuple(zip(*rows))))
 
 
 _ENTRY = st.builds(
