@@ -23,6 +23,9 @@ from typing import Optional, Sequence
 
 from .linalg import ParseError, SuperbridgeError, read_utf8
 
+#: Version of every ``--json`` document and search manifest.
+JSON_SCHEMA = 1
+
 #: The only knot types that may have superbridge index 3.
 THREE_SUPERBRIDGE_CANDIDATES = frozenset(
     {"3_1", "4_1", "5_2", "6_1", "6_2", "6_3", "7_2", "7_3", "7_4", "8_4", "8_9"}
@@ -170,7 +173,7 @@ def render_table(
         return buf.getvalue()
     if fmt == "json":
         payload = {
-            "schema": 1,
+            "schema": JSON_SCHEMA,
             "rows": [
                 {"name": name, "lo": iv.lo, "hi": iv.hi, "value": str(iv)}
                 for name, iv in rows

@@ -25,12 +25,10 @@ from .geometry import normalize_pose, quantize
 from .linalg import SuperbridgeError, format_rational, int_text
 from .search import SearchConfig, search
 
-_JSON_SCHEMA = 1
-
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps({"schema": _JSON_SCHEMA, **payload}, indent=2))
+        print(json.dumps({"schema": bounds.JSON_SCHEMA, **payload}, indent=2))
     else:
         print("\n".join(lines))
 
@@ -138,7 +136,7 @@ def _cmd_search(args) -> int:
         print(f"candidate {cand.knot.name}: exact sb = {cand.exact_sb}")
     stats = dataclasses.asdict(run.stats)
     (out_dir / "manifest.json").write_text(
-        json.dumps({"schema": _JSON_SCHEMA, "config": {
+        json.dumps({"schema": bounds.JSON_SCHEMA, "config": {
             "n": cfg.n, "target": cfg.target, "samples": cfg.samples,
             "seed": cfg.seed, "radius": str(cfg.confinement_radius),
             "screen_samples": cfg.screen_samples,

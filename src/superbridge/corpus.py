@@ -202,21 +202,16 @@ def data_root():
     return resources.files("superbridge") / "data"
 
 
-def _as_path(traversable) -> Path:
-    # Packaged data ships as real files; resources.as_file is unnecessary.
-    return Path(str(traversable))
-
-
 def corpus_entries() -> tuple[CorpusEntry, ...]:
     """All shipped realizations, certificates attached where published."""
     root = data_root()
     manifest = json.loads((root / "corpus.json").read_text(encoding="utf-8"))
     out = []
     for item in manifest["entries"]:
-        knot = load_realization(_as_path(root / item["realization"]))
+        knot = load_realization(root / item["realization"])
         cert = None
         if item.get("certificate"):
-            doc = load_certificate_document(_as_path(root / item["certificate"]))
+            doc = load_certificate_document(root / item["certificate"])
             if doc.knot.vertices != knot.vertices:
                 raise SuperbridgeError(f"{knot.name}: certificate vertices disagree")
             cert = doc.bundle

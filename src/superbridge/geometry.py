@@ -278,7 +278,11 @@ def quantize(p: PolygonalKnot, digits: int = 3) -> PolygonalKnot:
         largest = max(abs(c) for v in anchored for c in v)
         # Smallest k with largest * 10^k >= 10^(digits-1); then the value
         # is also < 10^digits, giving exactly `digits` significant digits.
-        k = 0
+        # The loops find it from any start; starting from the bit-length
+        # estimate of log10(largest) (1233 / 4096 ~ log10 2) takes them a
+        # step or two instead of one step per digit.
+        bits = largest.numerator.bit_length() - largest.denominator.bit_length()
+        k = digits - 1 - (bits * 1233 >> 12)
         lo = Fraction(10) ** (digits - 1)
         while largest * Fraction(10) ** k < lo:
             k += 1

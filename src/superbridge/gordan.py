@@ -18,8 +18,8 @@ reaches it.
 
 ``_sign_failure`` and ``_residual_failure`` are the package's null-vector
 checks, each one pass at C level on rows: the simplex recheck runs them on
-the rows it decided, and certificate verifiers on rows kept on the polygon.
-``null_vector_failure`` runs them, after a dimension check, on columns.
+the rows it decided, certificate verifiers on rows kept on the polygon,
+and ``verify_null_combination`` on the rows of A.
 """
 
 from __future__ import annotations
@@ -98,21 +98,6 @@ def _exact(x: Sequence, size: int, mismatch: str) -> list[Fraction]:
         raise SuperbridgeError(f"entries must be rational numbers, got {list(x)!r}") from None
 
 
-def null_vector_failure(columns: Sequence[Sequence], u: Sequence) -> Optional[str]:
-    """First failed check of u as a null combination of ``columns``, or None.
-
-    The checks, in order, are "dimension", "negative_entry", "zero_vector"
-    and "nonzero_residual". Columns and u must already be exact numbers
-    (ints or Fractions); nothing is converted here. The last three are
-    ``_sign_failure`` and ``_residual_failure`` on the rows of A. This is
-    the column-form check behind ``verify_null_combination``; code that
-    holds rows calls those two directly.
-    """
-    if len(u) != len(columns):
-        return "dimension"
-    return _sign_failure(u) or _residual_failure(zip(*columns), u)
-
-
 def _sign_failure(u: Sequence) -> Optional[str]:
     """"negative_entry" or "zero_vector" if u fails it (``min``, then ``any``)."""
     if min(u, default=0) < 0:
@@ -133,7 +118,7 @@ def _residual_failure(rows, u: Sequence) -> Optional[str]:
 def verify_null_combination(a: GordanMatrix, u: Sequence) -> bool:
     """True iff u >= 0, u != 0 and A u = 0, all checked exactly."""
     u = _exact(u, len(a.columns), "u has {} entries, matrix has {} columns")
-    return null_vector_failure(a.columns, u) is None
+    return not (_sign_failure(u) or _residual_failure(zip(*a.columns), u))
 
 
 def gordan_decide(a: GordanMatrix) -> Certificate:

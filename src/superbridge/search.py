@@ -222,7 +222,7 @@ class SearchRun:
     """
 
     config: SearchConfig
-    stats: SearchStats = field(default_factory=SearchStats)
+    stats: SearchStats = field(default_factory=SearchStats, init=False)
 
     def __iter__(self) -> Iterator[Candidate]:
         cfg = self.config

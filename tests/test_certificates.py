@@ -49,7 +49,7 @@ from superbridge.corpus import (
     save_certificate_document,
 )
 from superbridge.geometry import KnotTypePreservationWarning, integer_edges
-from superbridge.gordan import SeparatingDirection, _decide, null_vector_failure
+from superbridge.gordan import SeparatingDirection, _decide
 from superbridge.linalg import NotRational, SuperbridgeError, primitive_vector
 
 
@@ -742,9 +742,10 @@ def test_rotated_rows_are_built_by_the_first_bundle_check(corpus):
 
 
 def _reference_verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBound:
-    """Reference for ``verify_odd_bundle``: each candidate goes through
-    ``null_vector_failure`` on the system's columns, which checks the
-    candidate's signs and transposes the columns every time."""
+    """Reference for ``verify_odd_bundle``: each candidate is checked
+    against the system's columns by its own loops (a negative entry, then
+    all zeros, then a nonzero residual), with no check code shared with the
+    verifier."""
     n = p.n
     if n % 2 != 1:
         raise EvenEdgeCount(f"{p.name}: edge count {n} is even")
@@ -759,7 +760,18 @@ def _reference_verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) ->
 
     def failure(j: int, c: int, r: int):
         col = columns[c]
-        return null_vector_failure(systems[j - 1], col[n - r :] + col[: n - r])
+        u = col[n - r :] + col[: n - r]
+        if any(x < 0 for x in u):
+            return "negative_entry"
+        if all(x == 0 for x in u):
+            return "zero_vector"
+        residual = [0, 0, 0]
+        for x, column in zip(u, systems[j - 1]):
+            for i in range(3):
+                residual[i] += x * column[i]
+        if any(residual):
+            return "nonzero_residual"
+        return None
 
     assignment = []
     uncovered = []

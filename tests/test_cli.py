@@ -515,6 +515,26 @@ def test_witness_of_four_thousand_digit_coordinates_in_known_time(tmp_path, pack
     assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 2
 
 
+def test_normalize_to_sixty_thousand_digits_in_known_time(tmp_path, package_env):
+    """``sb normalize --digits 60000`` finds its power-of-ten scale in a step
+    or two, not one step per digit, so it exits 1 on the output digit limit
+    within 2 s of CPU (0.3 s wall with process start on a 2-core Xeon,
+    Python 3.11.7)."""
+    path = tmp_path / "third.txt"
+    path.write_text("0 0 0\n1 0 0\n0 1 1/3\n0 0 1\n")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "superbridge.cli", "normalize", str(path), "--digits", "60000"],
+        env=package_env, capture_output=True, text=True, timeout=60,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr == (
+        "error: an output integer exceeds Python's 4300-digit limit on integer-to-string conversion\n"
+    )
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 2
+
+
 def test_radius_below_half_fails_within_a_second(tmp_path, capsys):
     start = time.perf_counter()
     assert main([*_SEARCH, "--radius", "49/100", "--out", str(tmp_path)]) == 1

@@ -465,6 +465,54 @@ class TestQuantize:
         assert q1.vertices == q2.vertices
 
 
+def _reference_quantize(p: PolygonalKnot, digits: int) -> list:
+    """``quantize``'s vertices, its scale found by stepping k one at a time
+    from 0."""
+    anchored = [[c - c1 for c, c1 in zip(v, p.vertices[0])] for v in p.vertices]
+    largest = max(abs(c) for v in anchored for c in v)
+    k = 0
+    lo = Fraction(10) ** (digits - 1)
+    while largest * Fraction(10) ** k < lo:
+        k += 1
+    while largest * Fraction(10) ** (k - 1) >= lo:
+        k -= 1
+    scale = Fraction(10) ** k
+    half_away = lambda x: int(abs(x) + Fraction(1, 2)) * (1 if x >= 0 else -1)
+    return [tuple(half_away(c * scale) for c in v) for v in anchored]
+
+
+_BIG = st.integers(min_value=-(10**60), max_value=10**60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nums=st.lists(st.tuples(_BIG, _BIG, _BIG), min_size=4, max_size=4),
+    dens=st.tuples(*[st.integers(min_value=1, max_value=10**60)] * 3),
+    digits=st.integers(min_value=1, max_value=39),
+)
+def test_quantize_matches_one_step_scale_search(nums, dens, digits):
+    """``quantize`` starts its scale search at a bit-length estimate of
+    log10; its vertices are those of the search that steps k one at a time
+    from 0, on 1- to 60-digit numerators and denominators."""
+    verts = [tuple(Fraction(x, d) for x, d in zip(v, dens)) for v in nums]
+    try:
+        p = PolygonalKnot.from_coordinates("t", verts)
+    except DegeneratePolygon:
+        assume(False)
+    assume(any(c.denominator != 1 for v in p.vertices for c in v))
+    want = _reference_quantize(p, digits)
+    with pytest.warns(KnotTypePreservationWarning):
+        try:
+            got = list(quantize(p, digits=digits).vertices)
+        except DegeneratePolygon:
+            got = None
+    if got is None:  # rounding made the polygon degenerate, in both
+        with pytest.raises(DegeneratePolygon):
+            PolygonalKnot.from_coordinates("t", want)
+    else:
+        assert got == want
+
+
 class TestNormalizePose:
     def test_fixed_point_on_corpus(self, corpus):
         # every shipped realization is already in the standard pose

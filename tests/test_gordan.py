@@ -21,11 +21,21 @@ from superbridge import (
     verify_separating,
 )
 from superbridge.certificates import build_odd_systems
-from superbridge.gordan import DimensionMismatch, _phase_one, null_vector_failure
+from superbridge.gordan import (
+    DimensionMismatch,
+    _phase_one,
+    _residual_failure,
+    _sign_failure,
+)
 from superbridge.linalg import SuperbridgeError, primitive_vector
 from superbridge.search import random_equilateral_polygon
 
 ANTIPODAL = GordanMatrix.from_columns([(1, 0, 0), (-1, 0, 0)])
+
+
+def _first_failure(columns, u):
+    """The first failed null-vector check of u against ``columns``, or None."""
+    return _sign_failure(u) or _residual_failure(zip(*columns), u)
 
 
 def test_antipodal_pair_yields_null_combination():
@@ -82,7 +92,11 @@ class TestVerifiers:
         ],
     )
     def test_null_vector_failure_names_first_failed_check(self, u, failure):
-        assert null_vector_failure(ANTIPODAL.columns, u) == failure
+        if failure == "dimension":
+            with pytest.raises(DimensionMismatch):
+                verify_null_combination(ANTIPODAL, u)
+        else:
+            assert _first_failure(ANTIPODAL.columns, u) == failure
 
     @pytest.mark.parametrize(
         "u, failure",
@@ -100,11 +114,11 @@ class TestVerifiers:
         """With Fractions in the matrix and in u, and several checks failing
         at once, the first check in order is the one reported."""
         m = GordanMatrix.from_columns([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, Fraction(1, 2))])
-        assert null_vector_failure(m.columns, u) == failure
         if failure == "dimension":
             with pytest.raises(DimensionMismatch):
                 verify_null_combination(m, u)
         else:
+            assert _first_failure(m.columns, u) == failure
             assert verify_null_combination(m, u) == (failure is None)
 
     def test_null_accepts_rationals(self):

@@ -44,9 +44,11 @@ def test_script_exits_0(argv, package_env):
 
 
 def test_paired_bench_against_itself(package_env):
+    """One 2-seed run: a line per end-to-end metric, each with its win
+    count, and pass counts beside ``peak_rss_mb`` only."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "paired_bench.py"), str(ROOT), str(ROOT),
-         "--seconds", "1", "--seeds", "1", "--workloads", "ensemble"],
+         "--seconds", "1", "--seeds", "1", "2", "--workloads", "ensemble"],
         env=package_env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -54,18 +56,7 @@ def test_paired_bench_against_itself(package_env):
     lines = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
     assert [ln.split()[:2] for ln in lines] == [["ensemble", m] for m in metrics], proc.stdout
     assert all("won " in ln for ln in lines)
-
-
-def test_paired_bench_gives_pass_counts_beside_peak_rss(package_env):
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "paired_bench.py"), str(ROOT), str(ROOT),
-         "--seconds", "1", "--seeds", "1", "2", "--workloads", "ensemble"],
-        env=package_env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    for ln in proc.stdout.splitlines():
-        if ln.startswith("#"):
-            continue
+    for ln in lines:
         counts = ln.partition(" passes ")[2].split()
         if ln.split()[1] == "peak_rss_mb":
             assert counts[0::2] == ["parent", "change"] and all(float(c) >= 1 for c in counts[1::2]), ln
@@ -102,6 +93,31 @@ def test_compare_outputs_tampers_one_bundle_entry_of_each_certificate(tmp_path):
         assert [b - a for a, b in zip(before, after) if a != b] == [1], cert.name
         with pytest.raises(InvalidCertificate):
             verify_bundle(load_certificate_document(copy).knot, new)
+
+
+def test_verify_corpus_reports_a_bad_certificate(monkeypatch, capsys):
+    """With one entry of 9_22's vector raised by 1, the script prints a FAIL
+    row naming the failed check, goes on to the other entries and to the
+    this-work report, and exits 1."""
+    import dataclasses
+
+    from superbridge import CertificateBundle, corpus_entries
+
+    verify_corpus = _script("verify_corpus")
+    entries = list(corpus_entries())
+    (k,) = [i for i, e in enumerate(entries) if e.knot.name == "9_22"]
+    vector = list(entries[k].certificate.vector)
+    vector[3] += 1
+    entries[k] = dataclasses.replace(entries[k], certificate=CertificateBundle(vector=tuple(vector)))
+    monkeypatch.setattr(verify_corpus, "corpus_entries", lambda: tuple(entries))
+    assert verify_corpus.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    rows = [ln.split() for ln in lines[1:23]]
+    assert [r[0] for r in rows] == [e.knot.name for e in entries]
+    (bad,) = [r for r in rows if r[-1] != "ok"]
+    assert bad[:6] + bad[7:] == ["9_22", "10", "4", "-", "invalid", "(nonzero_residual)", "FAIL"]
+    assert "22 entries, 1 failures" in lines
+    assert any(ln.startswith("  rolfsen.csv: 9_22: certified_upper 4, certificate: invalid (") for ln in lines), lines
 
 
 def test_this_work_rows_are_proved_by_the_corpus():

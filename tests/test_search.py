@@ -334,6 +334,16 @@ class TestSearch:
         assert run.stats.confirmed == 8
         assert run.stats.screened_out == 0
 
+    def test_stats_are_set_by_the_run_alone(self):
+        """``stats`` is not an argument: each iteration starts it afresh."""
+        cfg = SearchConfig(n=5, target=2, samples=3, seed=3, screen_samples=32)
+        with pytest.raises(TypeError):
+            search_mod.SearchRun(config=cfg, stats=search_mod.SearchStats(generated=7))
+        run = search(cfg)
+        assert run.stats == search_mod.SearchStats()
+        for _ in range(2):
+            assert len(list(run)) == 3 and run.stats.generated == 3
+
     def test_candidates_recheck_and_certify(self):
         cfg = SearchConfig(n=6, target=2, samples=40, seed=9, screen_samples=64)
         run = search(cfg)
