@@ -43,20 +43,29 @@ def test_script_exits_0(argv, package_env):
         assert proc.stdout.count("planted error caught") == 4, proc.stdout
 
 
-def test_paired_bench_against_itself(package_env):
-    """One 2-seed run: a line per end-to-end metric, each with its win
-    count, and pass counts beside ``peak_rss_mb`` only."""
+@pytest.fixture(scope="module")
+def paired_bench_lines(package_env):
+    """The result lines of one 2-seed ``paired_bench.py`` run of this
+    checkout against itself, shared by the tests below."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "paired_bench.py"), str(ROOT), str(ROOT),
          "--seconds", "1", "--seeds", "1", "2", "--workloads", "ensemble"],
         env=package_env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
+
+
+def test_paired_bench_against_itself(paired_bench_lines):
+    """A line per end-to-end metric, each with its win count."""
     metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    lines = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
-    assert [ln.split()[:2] for ln in lines] == [["ensemble", m] for m in metrics], proc.stdout
-    assert all("won " in ln for ln in lines)
-    for ln in lines:
+    assert [ln.split()[:2] for ln in paired_bench_lines] == [["ensemble", m] for m in metrics], paired_bench_lines
+    assert all("won " in ln for ln in paired_bench_lines)
+
+
+def test_paired_bench_gives_pass_counts_beside_peak_rss(paired_bench_lines):
+    """Pass counts beside ``peak_rss_mb`` only."""
+    for ln in paired_bench_lines:
         counts = ln.partition(" passes ")[2].split()
         if ln.split()[1] == "peak_rss_mb":
             assert counts[0::2] == ["parent", "change"] and all(float(c) >= 1 for c in counts[1::2]), ln
