@@ -11,7 +11,8 @@ certificate, on all of them at once and on a +1-tampered copy of each
 diagnostics are compared too), ``sb table`` on each metadata
 file in every ``--format``, with and without ``--exact-only``, and a few
 fixed ``sb search`` runs (n = 6 to 33, radii 1, 3/2, 5/2 and 3, candidates
-with certificates), each into a fresh
+with certificates, and one run whose samples the screen all rejects),
+each into a fresh
 temporary directory. Each checkout's package is imported afresh into this
 process, as the benchmark does, and every invocation's exit status, stdout
 and stderr are recorded, with every file a search writes (its manifest,
@@ -41,6 +42,7 @@ SEARCHES = [
     "--edges 31 --target 12 --samples 4 --seed 5 --radius 5/2",
     "--edges 32 --target 12 --samples 4 --seed 6 --radius 3",
     "--edges 33 --target 16 --samples 3 --seed 7 --radius 5/2",
+    "--edges 22 --target 3 --samples 40 --seed 1 --radius 5/2",
 ]
 
 

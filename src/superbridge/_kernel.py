@@ -171,8 +171,18 @@ def _descents(bits: np.ndarray) -> np.ndarray:
     return (bits & ~np.roll(bits, -1, axis=1)).sum(axis=1)
 
 
-def _screen(cols: list[tuple[int, ...]], samples: int, seed: int) -> int:
-    """Body of ``sampled_lower_bound`` on its validated primitive edge rows."""
+def _screen(cols: list[tuple[int, ...]], samples: int, seed: int, stop_above=None) -> int:
+    """Body of ``sampled_lower_bound`` on its validated primitive edge rows.
+
+    The first ``samples`` directions are read in one chunk, or with
+    ``stop_above`` in chunks of 8, 16, 32, ... directions: 24 bytes each, so
+    every chunk is whole 32-bit words of the stream and the chunks read the
+    same bytes as one call. A chunk with a generic direction of more than
+    ``stop_above`` descents ends the screen, which returns the most descents
+    of the chunk's generic directions. Such a direction is never redrawn, so
+    the full screen takes it too, and its maximum exceeds ``stop_above`` as
+    well; every other case redraws and returns as without ``stop_above``.
+    """
     mat = np.array(cols, dtype=np.int64).T  # 3 x n
     rng = random.Random(seed)
 
@@ -182,7 +192,16 @@ def _screen(cols: list[tuple[int, ...]], samples: int, seed: int) -> int:
         dirs -= _DIRECTION_BOUND
         return dirs
 
-    dots = directions(samples) @ mat
+    dots = np.empty((samples, len(cols)), dtype=np.int64)
+    read, k = 0, samples if stop_above is None else 8
+    while read < samples:
+        chunk = dots[read : read + k]
+        np.matmul(directions(len(chunk)), mat, out=chunk)
+        read, k = read + len(chunk), 2 * k
+        if stop_above is not None:
+            top = _descents(chunk > 0)[chunk.all(axis=1)]  # generic directions only
+            if top.size and top.max() > stop_above:
+                return int(top.max())
     bad = (dots == 0).any(axis=1)
     for _ in range(64):
         if not bad.any():

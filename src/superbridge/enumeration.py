@@ -101,7 +101,7 @@ def superbridge_census(p: PolygonalKnot) -> tuple[SuperbridgeResult, dict[int, i
     return result, {d: c for d, c in enumerate(np.bincount(descents).tolist()) if c}
 
 
-def sampled_lower_bound(p: PolygonalKnot, samples: int, seed: int) -> int:
+def sampled_lower_bound(p: PolygonalKnot, samples: int, seed: int, *, stop_above=None) -> int:
     """Max descent count over pseudo-random generic integer directions.
 
     Deterministic for a fixed seed: each direction is 24 bytes of
@@ -111,16 +111,24 @@ def sampled_lower_bound(p: PolygonalKnot, samples: int, seed: int) -> int:
     in practice usually equal to) the enumerated superbridge number. The
     seed must be an integer >= 0 and samples x edges at most
     SCREEN_ENTRIES_MAX.
+
+    With an integer ``stop_above`` the screen stops at the first chunk of
+    directions (8, 16, 32, ... of them) that has a generic direction above
+    it, and returns that chunk's most descents over generic directions: still a
+    lower bound, and above ``stop_above`` exactly when the maximum is.
+    Otherwise it returns the maximum, as without ``stop_above``.
     """
     if not isinstance(seed, Integral) or seed < 0:
         raise SuperbridgeError(f"seed must be an integer >= 0, got {seed!r}")
     most = SCREEN_ENTRIES_MAX // p.n
     if not isinstance(samples, Integral) or not 1 <= samples <= most:
         raise SuperbridgeError(f"samples must be 1 to {most} for {p.n} edges, got {samples!r}")
+    if stop_above is not None and not isinstance(stop_above, Integral):
+        raise SuperbridgeError(f"stop_above must be an integer or None, got {stop_above!r}")
     cols = _primitive_rows(p)
     if max(abs(x) for col in cols for x in col) > _INT64_SAFE:
         raise SuperbridgeError("edge coordinates too large for the sampling fast path")
 
     from ._kernel import _screen
 
-    return _screen(cols, samples, int(seed))
+    return _screen(cols, samples, int(seed), None if stop_above is None else int(stop_above))

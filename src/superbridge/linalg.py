@@ -58,13 +58,26 @@ def rational(x: Rational) -> Fraction:
 
     Anything else reads as its ``str``; what does not parse, such as "x",
     None, nan or inf, raises NotRational with ``Fraction``'s text, and a
-    zero denominator ("1/0") with "zero denominator in '1/0'".
+    zero denominator ("1/0") with "zero denominator in '1/0'". A token with
+    an exponent ("1.5e3") raises NotRational when its mantissa digits plus
+    the exponent's size exceed Python's digit limit on int-from-string
+    conversion (``sys.get_int_max_str_digits``, unless 0): ``Fraction``
+    would compute that power of ten, a number past the limit, itself.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     text = str(x).strip()
+    mantissa, e, exponent = text.lower().partition("e")
+    limit = sys.get_int_max_str_digits()
+    if e and limit:
+        try:
+            size = sum(c.isdigit() for c in mantissa) + abs(int(exponent))
+        except ValueError:
+            size = 0  # not a number: Fraction names the problem
+        if size > limit:
+            raise NotRational(f"{text!r} expands past the {limit}-digit input limit")
     try:
         return Fraction(text)
     except ValueError as exc:

@@ -4,7 +4,11 @@ Pipeline per sample: generate a random near-equilateral closed polygon in
 confinement, screen it with the cheap sampled descent maximum, and only
 run the exact cell enumeration on survivors. Screening is sound: the
 sampled maximum never exceeds the exact value, so a polygon is rejected
-only when its exact value provably exceeds the target.
+only when its exact value provably exceeds the target. The screen stops
+at the first chunk of directions with one above the target, which decides
+exactly as the full maximum does; most samples of a low target are
+rejected by their first chunk. At the target floor(n/2) nothing can be
+rejected, so the screen is skipped.
 
 The sampler is a baseline: edge directions are drawn isotropically,
 alternately renormalized and closed in floating point, in a fixed operation
@@ -219,6 +223,10 @@ class SearchRun:
     polygon, then its screen seed, from ``random.Random(f"{seed}:{i}")``.
     The screen never exceeds the exact value, so that seed can move a sample
     between ``screened_out`` and rejected-after-exact, but never a candidate.
+    The screen is ``sampled_lower_bound`` with ``stop_above`` the target,
+    so it rejects a sample exactly when the maximum over all its directions
+    would. It runs only below floor(n/2), where it can reject; the screen
+    seed is drawn at every target all the same.
     """
 
     config: SearchConfig
@@ -233,8 +241,11 @@ class SearchRun:
                 cfg.n, cfg.confinement_radius, rng, name=f"rand{cfg.n}-{cfg.seed}-{i}"
             )
             self.stats.generated += 1
-            screen = sampled_lower_bound(p, cfg.screen_samples, seed=rng.getrandbits(64))
-            if screen > cfg.target:
+            screen_seed = rng.getrandbits(64)
+            # No sample exceeds floor(n/2), so at that target the screen cannot reject.
+            if cfg.target < cfg.n // 2 and sampled_lower_bound(
+                p, cfg.screen_samples, seed=screen_seed, stop_above=cfg.target
+            ) > cfg.target:
                 self.stats.screened_out += 1
                 continue
             exact = superbridge_number(p).value

@@ -50,7 +50,7 @@ from superbridge.corpus import (
 )
 from superbridge.geometry import KnotTypePreservationWarning, integer_edges
 from superbridge.gordan import SeparatingDirection, _decide
-from superbridge.linalg import NotRational, SuperbridgeError, primitive_vector
+from superbridge.linalg import NotRational, SuperbridgeError, primitive_vector, rational
 
 
 class TestEvenSystem:
@@ -316,14 +316,22 @@ _BAD_ENTRY_CALLS = {
 }
 
 
-@pytest.mark.parametrize("bad", ["x", None, float("nan"), float("inf"), "1/0"])
+@pytest.mark.parametrize("bad", ["x", None, float("nan"), float("inf"), "1/0", "1e200000", "1e-4400"])
 @pytest.mark.parametrize("call", sorted(_BAD_ENTRY_CALLS))
 def test_entries_that_are_not_rational_raise_a_typed_error(corpus, call, bad):
     """One error at the one coercion point: a SuperbridgeError that is also
-    the ValueError older callers caught."""
+    the ValueError older callers caught. An exponent token is not rational
+    here once it expands past Python's 4300-digit int-from-string limit."""
     with pytest.raises(NotRational) as exc:
         _BAD_ENTRY_CALLS[call](corpus, bad)
     assert isinstance(exc.value, SuperbridgeError) and isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "tok, value", [("1.5e3", 1500), ("2.5e-3", Fraction(1, 400)), ("-1E4299", -(10**4299))]
+)
+def test_exponent_tokens_within_the_digit_limit_parse(tok, value):
+    assert rational(tok) == value
 
 
 class TestFindCertificate:

@@ -535,6 +535,27 @@ def test_normalize_to_sixty_thousand_digits_in_known_time(tmp_path, package_env)
     assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 2
 
 
+@pytest.mark.parametrize("command", ["find", "exact"])
+def test_exponent_token_past_the_digit_limit_fails_in_known_time(tmp_path, package_env, command):
+    """``1e200000`` stands for a 200,001-digit integer, which Python's
+    4300-digit limit would refuse as a plain digit string, so the 5-gon
+    with it as a coordinate is a bad coordinate within 2 s of CPU instead
+    of a computation on that integer."""
+    path = tmp_path / "exp5.txt"
+    path.write_text("0 0 0\n1e200000 1 0\n1 2 3\n0 3 1\n2 0 1\n")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "superbridge.cli", command, str(path)],
+        env=package_env, capture_output=True, text=True, timeout=60,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr == (
+        f"error: {path}:2: bad coordinate: '1e200000' expands past the 4300-digit input limit\n"
+    )
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 2
+
+
 def test_radius_below_half_fails_within_a_second(tmp_path, capsys):
     start = time.perf_counter()
     assert main([*_SEARCH, "--radius", "49/100", "--out", str(tmp_path)]) == 1

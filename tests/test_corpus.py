@@ -70,7 +70,8 @@ class TestRealizationFiles:
         assert exc.value.line_no == 2
 
     @pytest.mark.parametrize(
-        "tok", ["1_000", "١٢", "1e3", "+7", "-0", "07", "+-5", "-3/4", "9" * 4301, "-" + "0" * 4400]
+        "tok",
+        ["1_000", "١٢", "1e3", "+7", "-0", "07", "+-5", "-3/4", "9" * 4301, "-" + "0" * 4400, "1e200000"],
     )
     def test_vertex_tokens_read_as_rational_reads_them(self, tok):
         """Integer tokens take a faster path through ``int``; every token,

@@ -459,6 +459,39 @@ class TestSampledLowerBound:
         with pytest.raises(SuperbridgeError):
             sampled_lower_bound(square, samples, seed)
 
+    def test_non_integer_threshold_is_a_typed_error(self, square):
+        with pytest.raises(SuperbridgeError, match="^stop_above must be an integer or None"):
+            sampled_lower_bound(square, 10, 1, stop_above=1.5)
+
+    def test_chunked_randbytes_are_one_call(self):
+        """The stopped screen reads 24 k bytes at a time, whole 32-bit words."""
+        for seed in (0, 7, 2**64 - 1):
+            rng = random.Random(seed)
+            chunks = b"".join(rng.randbytes(24 * k) for k in (8, 16, 32, 64, 80))
+            assert chunks == random.Random(seed).randbytes(24 * 200)
+
+    @pytest.mark.parametrize("bound", [enumeration._DIRECTION_BOUND, 1])
+    def test_stopped_screen_decides_like_the_maximum(self, monkeypatch, bound):
+        """``stop_above=t`` exceeds t exactly when the full maximum does,
+        never exceeds that maximum, and equals it when it stays at or below
+        t. Entries in [-1, 1] make 4 to 56 % of the directions non-generic
+        on these polygons, so the redraw path runs after the chunks too."""
+        monkeypatch.setattr(_kernel, "_DIRECTION_BOUND", bound)
+        rng = random.Random(24)
+        for n in range(5, 25):
+            for planar in (False, True):
+                verts = [
+                    (rng.randint(-30, 30), rng.randint(-30, 30), 0 if planar else rng.randint(-30, 30))
+                    for _ in range(n)
+                ]
+                p = PolygonalKnot.from_coordinates(f"p{n}", verts)
+                for seed in (0, 1, 2):
+                    full = sampled_lower_bound(p, 200, seed)
+                    for t in range(n // 2 + 1):
+                        stopped = sampled_lower_bound(p, 200, seed, stop_above=t)
+                        assert (stopped > t) == (full > t), (n, planar, seed, t)
+                        assert stopped == full if stopped <= t else stopped <= full
+
     def test_screen_size_limit(self, square):
         from superbridge.enumeration import SCREEN_ENTRIES_MAX
 

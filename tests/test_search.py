@@ -405,6 +405,38 @@ class TestSearch:
         )
         assert stats.screened_out <= stats.generated - stats.confirmed
 
+    @pytest.mark.parametrize(
+        "n,target,radius", [(22, 3, Fraction(5, 2)), (12, 4, Fraction(3, 2))]
+    )
+    def test_stopped_screen_keeps_every_decision(self, monkeypatch, n, target, radius):
+        """The screen stopped at the first chunk above the target gives the
+        candidates and counts of a screen that always takes the maximum."""
+        cfg = SearchConfig(n=n, target=target, samples=30, seed=1, confinement_radius=radius)
+        stopped = search_mod.sampled_lower_bound
+        thresholds = []
+
+        def full(p, samples, seed, stop_above=None):
+            thresholds.append(stop_above)
+            return stopped(p, samples, seed)
+
+        def stream():
+            run = search(cfg)
+            cands = [(c.knot.name, c.knot.vertices, c.exact_sb, c.certificate) for c in run]
+            return cands, (run.stats.generated, run.stats.screened_out, run.stats.confirmed)
+
+        first = stream()
+        monkeypatch.setattr(search_mod, "sampled_lower_bound", full)
+        assert stream() == first
+        assert thresholds == [target] * cfg.samples
+        assert first[1][1] > 0
+
+    def test_screen_is_skipped_at_the_edge_count_bound(self, monkeypatch):
+        """No sample exceeds floor(n/2), so at that target the screen is not called."""
+        cfg = SearchConfig(n=12, target=6, samples=4, seed=1)
+        monkeypatch.setattr(search_mod, "sampled_lower_bound", None)
+        run = search(cfg)
+        assert len(list(run)) == 4 and run.stats.screened_out == 0
+
     def test_search_does_not_import_numpy_random(self, package_env):
         # numpy.random costs about 6 MB of resident memory on import
         code = (
