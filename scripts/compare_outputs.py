@@ -9,11 +9,13 @@ manifest, ``sb normalize`` with neither flag on the first, ``sb verify`` (text a
 certificate, on all of them at once and on a +1-tampered copy of each
 (written once, to a temporary directory both checkouts read, so rejection
 diagnostics are compared too), ``sb table`` on each metadata
-file in every ``--format``, with and without ``--exact-only``, and a few
+file in every ``--format``, with and without ``--exact-only``, a few
 fixed ``sb search`` runs (n = 6 to 33, radii 1, 3/2, 5/2 and 3, candidates
 with certificates, and one run whose samples the screen all rejects),
 each into a fresh
-temporary directory. Each checkout's package is imported afresh into this
+temporary directory, and ``sb exact`` (text and ``--json``) on a few raw
+sampler polygons, written once by the package of CHANGE beside the
+tampered copies. Each checkout's package is imported afresh into this
 process, as the benchmark does, and every invocation's exit status, stdout
 and stderr are recorded, with every file a search writes (its manifest,
 ``.txt`` and ``.cert`` files). Every invocation whose record differs is
@@ -27,6 +29,7 @@ import contextlib
 import importlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -44,6 +47,12 @@ SEARCHES = [
     "--edges 33 --target 16 --samples 3 --seed 7 --radius 5/2",
     "--edges 22 --target 3 --samples 40 --seed 1 --radius 5/2",
 ]
+
+#: (edges, seed) of the raw sampler polygons given to ``sb exact``, radius
+#: 5/2. The corpus takes the arrangement kernel's one-product int64 path;
+#: these take its two-limb int64 path (n = 12 to 48) and its Python-int
+#: path (n = 80), whose primitive edge entries reach 31 bits.
+SAMPLED = [(12, 1), (22, 2), (32, 3), (48, 4), (80, 5)]
 
 
 def tamper(cert: Path, out: Path) -> str:
@@ -66,9 +75,24 @@ def tamper(cert: Path, out: Path) -> str:
     return str(path)
 
 
-def invocations(data: Path, tampered: Path) -> list[list[str]]:
-    """The ``sb`` argument lists to compare, on the data directory ``data``;
-    tampered certificate copies are written to ``tampered``."""
+def sampled(change: Path, out: Path) -> list[str]:
+    """Paths of the SAMPLED polygons, drawn by the package of ``change`` and
+    written to ``out``."""
+    with package(change) as sb:
+        paths = []
+        for n, seed in SAMPLED:
+            path = out / f"sampled{n}.txt"
+            sb.save_realization(
+                sb.random_equilateral_polygon(n, "5/2", random.Random(seed), f"sampled{n}"), path
+            )
+            paths.append(str(path))
+        return paths
+
+
+def invocations(data: Path, tampered: Path, polygons: list[str]) -> list[list[str]]:
+    """The ``sb`` argument lists to compare, on the data directory ``data``
+    and the coordinate files ``polygons``; tampered certificate copies are
+    written to ``tampered``."""
     manifest = json.loads((data / "corpus.json").read_text(encoding="utf-8"))["entries"]
     runs = []
     for item in manifest:
@@ -85,6 +109,7 @@ def invocations(data: Path, tampered: Path) -> list[list[str]]:
             for flag in ([], ["--exact-only"]):
                 runs.append(["table", "--metadata", str(meta), "--format", fmt, *flag])
     runs += [["search", *config.split(), "--out", OUT] for config in SEARCHES]
+    runs += [["exact", path, *flag] for path in polygons for flag in ([], ["--json"])]
     return runs
 
 
@@ -104,19 +129,27 @@ def run(cli, argv: list[str]) -> tuple[object, str, str, dict[str, bytes]]:
         return code, out.getvalue().replace(tmp, OUT), err.getvalue().replace(tmp, OUT), files
 
 
-def outputs(checkout: Path, runs: list[list[str]]) -> list[tuple]:
-    """``run`` of each argument list, with the package of ``checkout``."""
+@contextlib.contextmanager
+def package(checkout: Path):
+    """``superbridge`` imported afresh from ``checkout``, for the block."""
     for name in [m for m in sys.modules if m == "superbridge" or m.startswith("superbridge.")]:
         del sys.modules[name]
     src = str(checkout / "src")
     sys.path.insert(0, src)
     try:
-        cli = importlib.import_module("superbridge.cli")
-        if not cli.__file__.startswith(src):
+        sb = importlib.import_module("superbridge")
+        if not sb.__file__.startswith(src):
             raise SystemExit(f"error: superbridge was not imported from {src}")
-        return [run(cli, argv) for argv in runs]
+        yield sb
     finally:
         sys.path.remove(src)
+
+
+def outputs(checkout: Path, runs: list[list[str]]) -> list[tuple]:
+    """``run`` of each argument list, with the package of ``checkout``."""
+    with package(checkout):
+        cli = importlib.import_module("superbridge.cli")
+        return [run(cli, argv) for argv in runs]
 
 
 def main(argv=None) -> int:
@@ -127,7 +160,7 @@ def main(argv=None) -> int:
     parent, change = args.parent.resolve(), args.change.resolve()
     data = change / "src" / "superbridge" / "data"
     with tempfile.TemporaryDirectory() as tampered:
-        runs = invocations(data, Path(tampered))
+        runs = invocations(data, Path(tampered), sampled(change, Path(tampered)))
         before, after = outputs(parent, runs), outputs(change, runs)
     differ = 0
     for argv, old, new in zip(runs, before, after):

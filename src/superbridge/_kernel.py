@@ -20,7 +20,7 @@ from .linalg import SuperbridgeError, cross3, primitive_vector
 
 #: Bound on the temporary bytes of one block of the arrangement kernel, for
 #: n up to KERNEL_TEMP_BYTES // 256 - 4 edges. A block of k vertex pairs
-#: takes at most 256 k (n + 4) bytes: the most measured is 215 k (n + 4), on
+#: takes at most 256 k (n + 4) bytes: the most measured is 219 k (n + 4), on
 #: planar polygons with Python-int products and 13-digit coordinates, where
 #: every edge is re-signed.
 KERNEL_TEMP_BYTES = 1 << 22
@@ -37,24 +37,45 @@ def _cells(prim: list[tuple[int, ...]]):
     Each cell has an arrangement vertex on its boundary and is a sector
     between tangent rays of circles through it; perturbing the vertex along
     one ray, then infinitesimally toward another circle's tangent, lands in
-    a flanking sector. So for the primitive edges and each pair a < b of
-    circle normals it forms V = N_a x N_b, T1 = V x N_a and
-    T2 = V x N_b. Perturbation (V, s1 T1, s2 T2) gives edge e the sign of
-    V . e, where that is 0 of s1 T1 . e, and where that is also 0 (e is
-    then parallel to N_a) of s2 T2 . e, which is not 0. Swapping the
-    circles swaps T1 and T2; the cells at -V are the 8 rows negated. With M
-    the largest |entry| of an edge, |V| <= 2M^2 and |T| <= 4M^3 entrywise,
-    so |V . e| <= 6M^3 and |T . e| <= 12M^4: the products are exact int64
-    when 12M^4 < 2^62, and Python ints otherwise. Pairs run in blocks
-    within KERNEL_TEMP_BYTES. Only the 8 perturbations at +V are signed:
-    their rows, packed into big-endian uint64 words so that word order is
-    tuple order, are held block by block and merge into those found so far
-    whenever the held rows outnumber them, and after the last block, each
-    pattern keeping its first visit. The complements of the survivors then
-    stand for the 8 at -V (a row first seen as perturbation j of a pair is
-    first negated as j + 8), and one more merge keeps, for each pattern, the
-    first triple (v0, d1, d2) in visit order: pair, 8 perturbations, their 8
-    negations.
+    a flanking sector. So for each pair a < b of circle normals the vertex
+    is V = N_a x N_b, with tangents T1 = V x N_a and T2 = V x N_b.
+    Perturbation (V, s1 T1, s2 T2) gives edge e the sign of V . e, where
+    that is 0 of s1 T1 . e, and where that is also 0 (e is then parallel to
+    N_a) of s2 T2 . e, which is not 0. Swapping the circles swaps T1 and
+    T2; the cells at -V are the 8 rows negated.
+
+    The tangents are never formed. Where V . e = 0, e lies in
+    span(N_a, N_b), so N_a x e = lam V for some lam, and
+    T1 . e = V . (N_a x e) = lam |V|^2 has the sign of (N_a x e) . sgn(V),
+    with sgn taken entrywise; it is 0 exactly when e is parallel to N_a.
+    That is e . (sgn(V) x N_a), so each pair forms sgn(V) x N_a, and
+    sgn(V) x N_b for T2 . e. With M the largest |entry| of an edge, the
+    entries of V are at most 2M^2 and those of sgn(V) x N at most 2M in
+    size, so |e . (sgn(V) x N)| <= 6M^2 and |V . e| <= 6M^3.
+
+    While 6M^3 < 2^62, V . e is one int64 product. Past that,
+    ``_limb_shift`` gives a bit s, and V = 2^s H + L with H = V >> s and
+    0 <= L < 2^s entrywise. Then h = H . e + (L . e >> s) and
+    l = L . e mod 2^s give V . e = 2^s h + l with 0 <= l < 2^s, so
+    2h + (l != 0) has the sign and the zeros of V . e. With
+    c = ceil(2M^2 / 2^s) >= |H|, every sum of products stays within
+    |L . e| <= 3(2^s - 1)M and |2h + 1| <= 6(c + 1)M + 1. The shift is
+    s = bitlen(4M^2) // 2, so sqrt(2) M < 2^s <= 2 sqrt(2) M, and these
+    two bounds and 6M^2 are all below 6 sqrt(2) M^2 + 12M + 1. So int64
+    holds while that is below 2^63, which is 18M^4 < 2^124 up to the low
+    terms: for M below about 2^29.9. ``_limb_shift`` checks the three
+    bounds exactly, which hold up to M = 1,181,805,795 (about 2^30.14);
+    past it the products are Python ints.
+
+    Pairs run in blocks within KERNEL_TEMP_BYTES. Only the 8 perturbations
+    at +V are signed: their rows, built word-aligned and packed by one flat
+    packbits into big-endian 64-bit words, so that word order is tuple
+    order, are held block by block and merge into those found so far
+    whenever the held rows outnumber them. The last merge also takes the
+    complements of every row, which stand for the 8 at -V (a row seen as
+    perturbation j of a pair is negated as j + 8), so each pattern keeps
+    its first triple (v0, d1, d2) in visit order: pair, 8 perturbations,
+    their 8 negations.
     """
     circles: dict[tuple, tuple] = {}
     for p in prim:
@@ -64,43 +85,49 @@ def _cells(prim: list[tuple[int, ...]]):
     if len(normals) < 2:
         raise DegenerateEdgeSet("need at least two non-parallel edges")
     n, edge_max = len(prim), max(abs(x) for p in prim for x in p)
-    dtype = np.int64 if 12 * edge_max**4 < 1 << 62 else object
+    shift = _limb_shift(edge_max)
+    dtype = object if shift is None else np.int64
     edges, circ = np.array(prim, dtype=dtype), np.array(normals, dtype=dtype)
-    pa, pb = np.triu_indices(len(normals), 1)
+    r = np.arange(len(normals))
+    pa, pb = np.nonzero(r[:, None] < r)
     step = max(1, KERNEL_TEMP_BYTES // (256 * (n + 4)))
     # Where one word has room below a key, it also holds the visit index.
     spare = 64 - n if n < 64 and 16 * len(pa) <= 1 << (64 - n) else 0
-    keys, first = _pack(np.zeros((0, n), dtype=bool)), np.zeros(0, dtype=np.int64)
+    width = -(-n // 64) * 64  # bits of a row's whole words
+    flip = _pack(np.arange(width) < n)  # a row's first n bits: its complement mask
+    keys, first = flip[:0], np.zeros(0, dtype=np.int64)
     held, held_first = [], []  # packed rows and visit indices not merged yet
     for lo in range(0, len(pa), step):
         hi = min(lo + step, len(pa))
         na, nb = circ[pa[lo:hi]], circ[pb[lo:hi]]
         v = _cross(na, nb)
-        dots = v @ edges.T
+        if shift:  # two limbs: V . e = 2^s h + l, signed as 2h + (l != 0)
+            mask = (1 << shift) - 1
+            low = (v & mask) @ edges.T
+            dots = 2 * ((v >> shift) @ edges.T + (low >> shift)) + (low & mask != 0)
+        else:
+            dots = v @ edges.T
         pi, ei = np.nonzero(dots == 0)
-        t1 = np.sign((_cross(v, na)[pi] * edges[ei]).sum(axis=1)).astype(np.int8)
-        t2 = np.sign((_cross(v, nb)[pi] * edges[ei]).sum(axis=1)).astype(np.int8)
+        sv, e0 = np.sign(v), edges[ei]
+        t1 = np.sign((_cross(sv, na)[pi] * e0).sum(axis=1)).astype(np.int8)
+        t2 = np.sign((_cross(sv, nb)[pi] * e0).sum(axis=1)).astype(np.int8)
         lead = np.concatenate(
             [np.where(t1 != 0, _S1 * t1, _S2 * t2), np.where(t2 != 0, _S1 * t2, _S2 * t1)]
         )
-        block = np.repeat((dots > 0)[:, None], 8, axis=1)  # pair - lo, perturbation j
+        block = np.zeros((hi - lo, 8, width), dtype=bool)  # pair - lo, perturbation j, edge
+        block[:, :, :n] = (dots > 0)[:, None]
         block[pi, :, ei] = (lead > 0).T
-        held.append(_pack(block.reshape(-1, n)))
+        held.append(_pack(block))
         held_first.append((16 * np.arange(lo, hi)[:, None] + np.arange(8)).ravel())
         # Merging only once the held rows outnumber the found ones keeps the
         # merge work linear in the rows signed rather than quadratic in blocks.
         if hi == len(pa) or sum(map(len, held)) > len(keys):
-            keys, first = _first_rows(
-                np.concatenate([keys, *held]), np.concatenate([first, *held_first]), spare
-            )
+            words, visits = np.concatenate([keys, *held]), np.concatenate([first, *held_first])
+            if hi == len(pa):  # perturbation j + 8 of a pair negates perturbation j
+                words, visits = np.concatenate([words, words ^ flip]), np.append(visits, visits + 8)
+            keys, first = _first_rows(words, visits, spare)
             held, held_first = [], []
-    # Perturbation j + 8 of a pair negates perturbation j: complement the keys.
-    words, first = _first_rows(
-        np.concatenate([keys, keys ^ _pack(np.ones((1, n), dtype=bool))]),
-        np.concatenate([first, first + 8]),
-        spare,
-    )
-    bits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=n).view(bool)
+    bits = np.unpackbits(keys.astype(">u8").view(np.uint8), axis=1, count=n).view(bool)
 
     def witness(i: int) -> Direction:
         """Integer direction K^2 v0 + K d1 + d2 whose exact signs are row i's.
@@ -143,10 +170,22 @@ def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _pack(rows: np.ndarray) -> np.ndarray:
-    """Bool rows packed into big-endian uint64 words, so word order is row order."""
-    packed = np.zeros((len(rows), (rows.shape[1] + 63) // 64 * 8), dtype=np.uint8)
-    packed[:, : (rows.shape[1] + 7) // 8] = np.packbits(rows, axis=1)
-    return packed.view(">u8").astype(np.uint64)
+    """Bool rows of whole 64-bit words packed into big-endian words, as native
+    uint64, so word order is row order."""
+    words = np.packbits(rows.ravel()).view(">u8").astype(np.uint64)
+    return words.reshape(-1, rows.shape[-1] // 64)
+
+
+def _limb_shift(edge_max: int):
+    """How ``_cells`` takes V . e for edge entries of size at most edge_max:
+    0 for one int64 product, s > 0 for two int64 limbs split at bit s, or
+    None for Python ints (``_cells`` derives the bounds checked)."""
+    if 6 * edge_max**3 < 1 << 62:
+        return 0
+    s = (4 * edge_max**2).bit_length() // 2
+    c = -(-2 * edge_max**2 >> s)
+    sums = (3 * ((1 << s) - 1) * edge_max, 6 * (c + 1) * edge_max + 1, 6 * edge_max**2)
+    return s if max(sums) < 1 << 63 else None
 
 
 def _first_rows(words: np.ndarray, first: np.ndarray, spare: int):

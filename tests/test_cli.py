@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -513,6 +514,31 @@ def test_witness_of_four_thousand_digit_coordinates_in_known_time(tmp_path, pack
         "error: an output integer exceeds Python's 4300-digit limit on integer-to-string conversion\n"
     )
     assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 2
+
+
+def test_exact_on_thousand_digit_rationals_in_known_time(tmp_path, package_env):
+    """``sb exact`` on a seeded 8-gon whose 24 coordinates have random
+    1,000-digit numerators and denominators: the kernel's Python-int
+    products, the witness trials and the gcds of the primitive rows take
+    under 10 s of CPU together (2.0 s on a 2-core Xeon, Python 3.11.7), and
+    the run exits 1 because the witness has more digits than Python
+    converts to text."""
+    rng = random.Random(8)
+    big = [rng.randint(10**999, 10**1000 - 1) for _ in range(48)]
+    coords = [f"{rng.choice(['', '-'])}{a}/{b}" for a, b in zip(big[0::2], big[1::2])]
+    path = tmp_path / "huge8.txt"
+    path.write_text("".join(" ".join(coords[i : i + 3]) + "\n" for i in range(0, 24, 3)))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "superbridge.cli", "exact", str(path)],
+        env=package_env, capture_output=True, text=True, timeout=120,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr == (
+        "error: an output integer exceeds Python's 4300-digit limit on integer-to-string conversion\n"
+    )
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 10
 
 
 def test_normalize_to_sixty_thousand_digits_in_known_time(tmp_path, package_env):

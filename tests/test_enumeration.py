@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from superbridge import (
@@ -13,6 +13,7 @@ from superbridge import (
     PolygonalKnot,
     edge_vectors,
     jin_upper_bound,
+    random_equilateral_polygon,
     realizable_patterns,
     sampled_lower_bound,
     sign_pattern,
@@ -326,7 +327,7 @@ def test_kernel_matches_reference_python_ints(verts, planar):
 
 
 def _int64_limit():
-    """Largest M with 12 M^4 < 2^62: the biggest edge entry the int64 path takes."""
+    """Largest M with 12 M^4 < 2^62."""
     return isqrt(isqrt(((1 << 62) - 1) // 12))
 
 
@@ -340,6 +341,74 @@ def test_kernel_matches_reference_at_the_int64_limit(extra):
     )
     assert max(abs(x) for ed in edge_vectors(p).edges for x in primitive_vector(ed)) == m
     _assert_kernel_matches_reference(p)
+
+
+#: Largest edge entry M with 6 M^3 < 2^62, where V . e is one int64 product.
+ONE_PRODUCT_MAX = 916_015
+#: Largest M that ``_kernel._limb_shift`` takes in two int64 limbs.
+TWO_LIMB_MAX = 1_181_805_795
+
+
+def test_limb_shift_regimes_end_at_their_bounds():
+    assert 6 * ONE_PRODUCT_MAX**3 < 1 << 62 <= 6 * (ONE_PRODUCT_MAX + 1) ** 3
+    assert _kernel._limb_shift(ONE_PRODUCT_MAX) == 0 < _kernel._limb_shift(ONE_PRODUCT_MAX + 1)
+    assert _kernel._limb_shift(TWO_LIMB_MAX) == 31
+    assert _kernel._limb_shift(TWO_LIMB_MAX + 1) is None
+
+
+def _regime_knot(m, n, seed, shape):
+    """An n-gon whose largest primitive edge entry is exactly m.
+
+    Vertex 0 is the origin and vertex 1 is (m, 1, z), so edge 0 is primitive
+    with entry m; every other vertex lies in the box [0, m]^3, so no edge
+    entry exceeds m. A "planar" knot has z = 0 throughout; a "coplanar" one
+    only off its last vertex, so n - 2 >= 3 of its edges lie in one plane,
+    pairwise not parallel, and each pair's vertex V is orthogonal to the
+    third: the tangent signs then run on edges in span(N_a, N_b) that are
+    parallel to neither normal.
+    """
+    rng = random.Random(seed)
+    flat = shape != "generic"
+    verts = [(0, 0, 0), (m, 1, 0 if flat else rng.randint(0, m))]
+    verts += [
+        (rng.randint(0, m), rng.randint(0, m), 0 if flat else rng.randint(0, m))
+        for _ in range(n - 2)
+    ]
+    if shape == "coplanar":
+        verts[-1] = (*verts[-1][:2], rng.randint(1, m))
+    p = _knot(verts)
+    assert max(abs(x) for row in enumeration._primitive_rows(p) for x in row) == m
+    return p
+
+
+@given(
+    m=st.integers(15, 30).flatmap(lambda b: st.integers(1 << b, 1 << (b + 1))),
+    n=st.integers(5, 7),
+    seed=st.integers(0, 2**32),
+    shape=st.sampled_from(["generic", "planar", "coplanar"]),
+)
+@example(m=ONE_PRODUCT_MAX, n=6, seed=1, shape="coplanar")
+@example(m=ONE_PRODUCT_MAX + 1, n=6, seed=1, shape="coplanar")
+@example(m=ONE_PRODUCT_MAX + 1, n=5, seed=2, shape="planar")
+@example(m=TWO_LIMB_MAX, n=7, seed=3, shape="generic")
+@example(m=TWO_LIMB_MAX, n=6, seed=4, shape="coplanar")
+@example(m=TWO_LIMB_MAX + 1, n=6, seed=4, shape="coplanar")
+@example(m=(1 << 31) - 1, n=5, seed=5, shape="planar")
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_reference_in_every_regime(m, n, seed, shape):
+    """Edge entries from 2^15 to 2^31: one int64 product, two int64 limbs
+    and Python ints, with the examples on both sides of each bound."""
+    _assert_kernel_matches_reference(_regime_knot(m, n, seed, shape))
+
+
+@pytest.mark.parametrize("n", [12, 22, 32, 48])
+def test_raw_sampler_polygons_take_two_int64_limbs(n):
+    """Raw sampler polygons, whose primitive edge entries reach 27 to 30
+    bits, stay on the int64 path."""
+    p = random_equilateral_polygon(n, Fraction(5, 2), random.Random(n))
+    m = max(abs(x) for row in enumeration._primitive_rows(p) for x in row)
+    assert m.bit_length() >= 27
+    assert _kernel._limb_shift(m) > 0
 
 
 def test_large_n_stays_within_the_block_bound():

@@ -81,8 +81,8 @@ def test_compare_outputs_against_itself(package_env):
     assert proc.returncode == 0, proc.stderr
     # 22 realizations x (exact/find x text/json + 3 normalize runs), 1 normalize
     # run without flags, 20 + 1 verify runs x 2, 20 tampered verify runs x 2,
-    # 12 tables, 7 searches
-    assert proc.stdout.splitlines() == ["256 invocations, 0 differ"], proc.stdout
+    # 12 tables, 7 searches, 5 raw sampler polygons x exact text/json
+    assert proc.stdout.splitlines() == ["266 invocations, 0 differ"], proc.stdout
 
 
 def test_compare_outputs_tampers_one_bundle_entry_of_each_certificate(tmp_path):
