@@ -12,18 +12,17 @@ every system, and both verification and certificate search build them
 straight from the polygon's integer edge table, so a certificate search
 depends only on the polygon's shape: rescaled or translated coordinates
 give the same table and the same result. A polygon's systems are signed
-once and kept on the polygon as their three rows, as the polygon keeps its
-edge table; the simplex and every null-vector check read those rows, and
-only ``build_even_system`` and ``build_odd_systems`` turn them into
-columns. The first odd bundle check keeps beside them the same rows rotated
-by each system's published rotation, so either candidate of a system costs
-one C-level sum per row and no copy of the column; certificate search never
-builds them. ``_kept`` keeps both tables. An odd bundle's columns are
-gathered by one transpose. A bundle of plain ints is checked as
-it is: its signs and residuals cannot change under the positive rescaling
-``primitive_vector`` would apply, so only other entry types go through it.
-Columns are sign-checked once each, or not at all when every entry is
-positive.
+once and kept (``geometry._kept``) as their three rows; the simplex and
+every null-vector check read those rows, and only ``build_even_system``
+and ``build_odd_systems`` turn them into columns. The first odd bundle
+check keeps beside them the same rows rotated by each system's published
+rotation, so either candidate of a system costs one C-level sum per row
+and no copy of the column; certificate search never builds them. An odd
+bundle's columns are gathered by one transpose. A bundle of plain ints is
+checked as it is: its signs and residuals cannot change under the positive
+rescaling ``primitive_vector`` would apply, so only other entry types go
+through it. Columns are sign-checked once each, or not at all when every
+entry is positive.
 
 Odd shifted systems share null vectors. E_(j+1) is -E_j with the one
 column (n - j) mod n left unnegated, so a null vector of E_j that is 0 in
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
-from .geometry import EdgeVectors, PolygonalKnot, integer_edges
+from .geometry import EdgeVectors, PolygonalKnot, _kept, integer_edges
 from .gordan import GordanMatrix, SeparatingDirection, _decide, _residual_failure, _sign_failure
 from .linalg import SuperbridgeError, neg3, primitive_vector
 
@@ -170,20 +169,6 @@ def _signed_systems(edges: Sequence[Sequence]) -> tuple[tuple[tuple, ...], ...]:
         tuple(zip(*(signed[f][i] for i, f in enumerate(flips[s:] + flips[:s]))))
         for s in (range(n) if n % 2 else (0,))
     )
-
-
-def _kept(p: PolygonalKnot, name: str, build):
-    """p's table ``name``, built by ``build(p)`` on first use and kept on p.
-
-    A plain attribute, as p keeps its edge table: ``dataclasses.replace``
-    builds a polygon without it, and pickling carries it with the vertices
-    it was built from.
-    """
-    table = p.__dict__.get(name)
-    if table is None:
-        table = build(p)
-        object.__setattr__(p, name, table)
-    return table
 
 
 def _polygon_systems(p: PolygonalKnot) -> tuple[tuple[tuple, ...], ...]:
@@ -353,9 +338,9 @@ def find_certificate(p: PolygonalKnot) -> FindResult:
     its predecessor), else E_j is decided from scratch. A separating
     direction leaves nothing to carry. Evidence cannot change: by Gordan's
     alternative a system with a null vector has no separating direction,
-    so every realizable shift fails the test and is decided from scratch,
-    as before. On the 22 realizations this cuts the simplex runs from 206
-    to 90. Each system is decided as it is, coprime signed integer edges.
+    so every realizable shift fails the test and is decided from scratch.
+    On the 22 realizations this cuts the simplex runs from 206 to 90. Each
+    system is decided as it is, coprime signed integer edges.
     """
     n = p.n
     vectors = []

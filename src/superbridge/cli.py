@@ -211,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--radius", type=str, default="3/2")
-    p.add_argument("--screen-samples", type=int, default=200)
+    p.add_argument("--radius", type=str, default=str(SearchConfig.confinement_radius))
+    p.add_argument("--screen-samples", type=int, default=SearchConfig.screen_samples)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_search)
 

@@ -5,12 +5,12 @@ arrangement cut into the direction sphere by the planes orthogonal to the
 edges, and distinct cells carry distinct patterns (a pattern's locus is an
 open convex cone). Enumerating cells therefore enumerates every realizable
 pattern; the superbridge number of the polygon is the maximal descent
-count over them. One exact integer matrix kernel finds every cell (see
-realizable_patterns): it reads a polygon's primitive edge rows from its
-one integer edge table and keeps each cell as a packed key of 8 rows per
-vertex, the other 8 being their complements. A witness direction is
-recovered only for a pattern a caller returns: superbridge_number, and so
-``sb exact``, shrinks one.
+count over them. One exact integer matrix kernel, ``_kernel._cells``,
+finds every cell. It reads a polygon's primitive edge rows, reduced once
+from its one integer edge table and kept, and holds each cell as a packed
+key of 8 rows per vertex, the other 8 being their complements. A witness
+direction is recovered only for a pattern a caller returns:
+superbridge_number, and so ``sb exact``, shrinks one.
 
 The kernel and the screen's numpy body live in the private ``_kernel``
 module, which the three functions that run them import in their bodies:
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from numbers import Integral
 
-from .geometry import Direction, EdgeVectors, PolygonalKnot, SignPattern, integer_edges
+from .geometry import Direction, EdgeVectors, PolygonalKnot, SignPattern, _kept, integer_edges
 from .linalg import SuperbridgeError, _reduced, primitive_vector
 
 _DIRECTION_BOUND = 1 << 20
@@ -59,7 +59,8 @@ def realizable_patterns(e: EdgeVectors) -> tuple[RealizablePattern, ...]:
 
     Output is sorted lexicographically by pattern and is closed under the
     global sign flip (antipodal cells). Raises DegenerateEdgeSet when the
-    edges define fewer than two distinct great circles. The cells come from ``_kernel._cells``, which describes how.
+    edges define fewer than two distinct great circles. The cells come from
+    ``_kernel._cells``, which describes how.
     """
     import numpy as np
 
@@ -72,9 +73,9 @@ def realizable_patterns(e: EdgeVectors) -> tuple[RealizablePattern, ...]:
     )
 
 
-def _primitive_rows(p: PolygonalKnot) -> list[tuple[int, ...]]:
-    """``primitive_vector`` of every edge of p, from one ``integer_edges``."""
-    return [_reduced(row) for row in integer_edges(p)]
+def _primitive_rows(p: PolygonalKnot) -> tuple[tuple[int, ...], ...]:
+    """``primitive_vector`` of every edge of p, reduced once from ``integer_edges`` and kept."""
+    return _kept(p, "_primitive_rows", lambda p: tuple(_reduced(row) for row in integer_edges(p)))
 
 
 def jin_upper_bound(p: PolygonalKnot) -> int:

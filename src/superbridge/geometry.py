@@ -58,8 +58,7 @@ class PolygonalKnot:
     vertices distinct, and not all edges parallel (the curve must not lie
     on a line). Both checks read the polygon's one integer edge table, whose
     row i is zero exactly when vertex i equals vertex i + 1; ``integer_edges``
-    returns it. It is a plain attribute, not a field, so equality, hashing
-    and repr see the fields only.
+    returns it, and ``_kept`` keeps it.
     """
 
     name: str
@@ -70,14 +69,13 @@ class PolygonalKnot:
         n = len(self.vertices)
         if n < 3:
             raise DegeneratePolygon(f"{self.name}: need at least 3 vertices, got {n}")
-        table = _scaled_edges(self.vertices)
+        table = _kept(self, "_integer_edges", lambda p: _scaled_edges(p.vertices))
         for i, e in enumerate(table):
             if is_zero3(e):
                 raise DegeneratePolygon(f"{self.name}: vertices {i} and {(i + 1) % n} coincide")
         first, *rest = table
         if all(is_zero3(cross3(first, e)) for e in rest):
             raise DegeneratePolygon(f"{self.name}: all edges parallel (curve lies on a line)")
-        object.__setattr__(self, "_integer_edges", table)
 
     @classmethod
     def from_coordinates(
@@ -96,6 +94,21 @@ class PolygonalKnot:
     def n(self) -> int:
         """Edge count (equals vertex count for a closed polygon)."""
         return len(self.vertices)
+
+
+def _kept(p: PolygonalKnot, name: str, build):
+    """p's table ``name``, built by ``build(p)`` on first use and kept on p.
+
+    Every table a polygon derives is kept this way. It is a plain
+    attribute, not a field, so equality, hashing and repr ignore it;
+    ``dataclasses.replace`` builds a polygon without it, and pickling and
+    ``copy.deepcopy`` carry it with the vertices it was built from.
+    """
+    table = p.__dict__.get(name)
+    if table is None:
+        table = build(p)
+        object.__setattr__(p, name, table)
+    return table
 
 
 @dataclass(frozen=True)
@@ -186,8 +199,8 @@ def integer_edges(p: PolygonalKnot) -> tuple[tuple[int, int, int], ...]:
     differenced, and divided by the gcd of all the differences. A common
     factor keeps every linear relation among the edges, which per-edge
     factors would not; a row divided by its own gcd is that edge's
-    ``primitive_vector``. The table is computed once, when p is built, and
-    every call returns that same tuple.
+    ``primitive_vector``. p keeps the table from when it is built, and every
+    call returns that same tuple.
     """
     return p._integer_edges
 

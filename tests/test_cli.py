@@ -385,6 +385,9 @@ def test_bad_input_is_a_typed_error(tmp_path, name, package_env):
     [
         (b"0 0 0\n1/0 0 0\n0 1 0\n", ["find"], "{path}:2: bad coordinate: zero denominator in '1/0'"),
         (None, [*_SEARCH, "--screen-samples", "0", "--out"], "screen sample count must be >= 1, got 0"),
+        (b"", ["verify"], "{path}:1: missing 'knot:' field"),
+        (b"knot: x\n", ["verify"], "{path}:1: missing 'parity:' field"),
+        (b"0 0 0\n1 0 0\n0 1 0\n", ["normalize", "--digits", "0"], "digits must be >= 1"),
     ],
 )
 def test_bad_input_message_names_the_problem(tmp_path, package_env, content, argv, message):
@@ -516,18 +519,23 @@ def test_witness_of_four_thousand_digit_coordinates_in_known_time(tmp_path, pack
     assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 2
 
 
+def _thousand_digit_octagon() -> str:
+    """Vertex lines of a seeded 8-gon whose 24 coordinates have random
+    1,000-digit numerators and denominators."""
+    rng = random.Random(8)
+    big = [rng.randint(10**999, 10**1000 - 1) for _ in range(48)]
+    coords = [f"{rng.choice(['', '-'])}{a}/{b}" for a, b in zip(big[0::2], big[1::2])]
+    return "".join(" ".join(coords[i : i + 3]) + "\n" for i in range(0, 24, 3))
+
+
 def test_exact_on_thousand_digit_rationals_in_known_time(tmp_path, package_env):
-    """``sb exact`` on a seeded 8-gon whose 24 coordinates have random
-    1,000-digit numerators and denominators: the kernel's Python-int
+    """``sb exact`` on ``_thousand_digit_octagon``: the kernel's Python-int
     products, the witness trials and the gcds of the primitive rows take
     under 10 s of CPU together (2.0 s on a 2-core Xeon, Python 3.11.7), and
     the run exits 1 because the witness has more digits than Python
     converts to text."""
-    rng = random.Random(8)
-    big = [rng.randint(10**999, 10**1000 - 1) for _ in range(48)]
-    coords = [f"{rng.choice(['', '-'])}{a}/{b}" for a, b in zip(big[0::2], big[1::2])]
     path = tmp_path / "huge8.txt"
-    path.write_text("".join(" ".join(coords[i : i + 3]) + "\n" for i in range(0, 24, 3)))
+    path.write_text(_thousand_digit_octagon())
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "-m", "superbridge.cli", "exact", str(path)],
@@ -539,6 +547,61 @@ def test_exact_on_thousand_digit_rationals_in_known_time(tmp_path, package_env):
         "error: an output integer exceeds Python's 4300-digit limit on integer-to-string conversion\n"
     )
     assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 10
+
+
+_ROUNDED_OCTAGON = (
+    "0 0 0\n-677 -281 -182\n10 389 150\n-394 -170 -208\n"
+    "-169 -404 -22\n-21 -101 119\n-228 30 -174\n-97 7 203\n"
+)
+_POSED_OCTAGON = (
+    "0.000000 0.000000 0.000000\n7.556704 0.000000 0.000000\n"
+    "-1.899112 3.716865 0.000000\n4.662109 -0.343302 0.922165\n"
+    "3.068800 -2.802210 -1.401707\n0.275078 -0.440422 -1.483067\n"
+    "2.349281 0.754527 1.488541\n0.357523 1.049832 -1.961351\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err, seconds",
+    [
+        (
+            ["find"], 1, "",
+            "error: an output integer exceeds Python's 4300-digit limit on integer-to-string conversion\n",
+            10,
+        ),
+        (
+            ["normalize", "--digits", "3"], 0, _ROUNDED_OCTAGON,
+            "# note: knot type preservation after rounding is not verified\n", 2,
+        ),
+        (["normalize", "--pose"], 0, _POSED_OCTAGON, "", 2),
+        (["verify"], 1, "huge8: INVALID (nonzero_residual: huge8: even-system certificate rejected)\n", "", 2),
+    ],
+    ids=["find", "normalize_digits", "normalize_pose", "verify"],
+)
+def test_other_commands_on_thousand_digit_rationals_in_known_time(
+    tmp_path, package_env, argv, code, out, err, seconds
+):
+    """The other commands on ``_thousand_digit_octagon``, each within its
+    bound of child CPU. ``sb find`` exits 1 on the output digit limit within
+    10 s: the gcds and exact divisions of the simplex on the signed system
+    take most of its 2.3 s on a 2-core Xeon, Python 3.11.7.
+    ``sb normalize --digits 3`` and ``sb normalize --pose`` exit 0 within
+    2 s (0.2 s). ``sb verify`` on a document of the 8-gon with
+    u = (1, ..., 1) exits 1, INVALID (nonzero_residual: ...), within 2 s
+    (0.2 s)."""
+    text = _thousand_digit_octagon()
+    if argv == ["verify"]:
+        text = f"knot: huge8\nparity: even\nvertices:\n{text}u: 1 1 1 1 1 1 1 1\n"
+    path = tmp_path / "huge8"
+    path.write_text(text)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "superbridge.cli", argv[0], str(path), *argv[1:]],
+        env=package_env, capture_output=True, text=True, timeout=120,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < seconds
 
 
 def test_normalize_to_sixty_thousand_digits_in_known_time(tmp_path, package_env):

@@ -158,6 +158,8 @@ class TestCertificateFiles:
             (_TRIANGLE + "U:\n1 1 1\n1 1", 9, "matrix row has 2 entries, expected 3"),
             (_TRIANGLE + "U:\n1 1 1\n1 1 1/2\n1 1 1", 9, "bad integer: invalid literal for int() with base 10: '1/2'"),
             (_TRIANGLE + "U:\n1 1 1\n1 1 1", 9, "matrix has 2 rows, expected 3"),
+            ("", 1, "missing 'knot:' field"),
+            ("knot: x", 1, "missing 'parity:' field"),
         ],
     )
     def test_bundle_errors_name_their_line(self, tmp_path, text, line_no, message):

@@ -5,6 +5,7 @@ import pickle
 import random
 import re
 import time
+import warnings
 from fractions import Fraction
 from math import gcd
 
@@ -25,6 +26,7 @@ from superbridge import (
     random_equilateral_polygon,
     sign_pattern,
 )
+from superbridge.enumeration import _primitive_rows
 from superbridge.geometry import (
     _PLAIN_GCD_BITS,
     EdgeVectors,
@@ -158,6 +160,15 @@ class TestSignPattern:
         with pytest.raises(Exception):
             SignPattern(signs=(1, -1, 1, -1), descents=1)
 
+    @pytest.mark.parametrize("signs", [(1, 0), (2, -1)])
+    def test_entries_must_be_signs(self, signs):
+        with pytest.raises(SuperbridgeError, match=r"^sign pattern entries must be \+1 or -1$"):
+            SignPattern(signs)
+
+    def test_direction_must_be_nonzero(self):
+        with pytest.raises(SuperbridgeError, match="^direction must be nonzero$"):
+            Direction((0, 0, 0))
+
 
 class TestDescentCount:
     def test_square(self, square):
@@ -285,7 +296,8 @@ def test_four_hundred_digit_denominators_build_in_known_time():
 
 
 class TestEdgeTable:
-    """The integer edge table a PolygonalKnot keeps beside its fields."""
+    """The integer edge table a PolygonalKnot keeps beside its fields, and
+    the primitive edge rows kept beside it."""
 
     @pytest.fixture
     def knot(self):
@@ -308,16 +320,26 @@ class TestEdgeTable:
         table = integer_edges(knot)
         assert integer_edges(knot) is table
         assert table == _scaled_edges(knot.vertices)
+        rows = _primitive_rows(knot)
+        assert _primitive_rows(knot) is rows
+        assert rows == tuple(primitive_vector(e) for e in edge_vectors(knot).edges)
 
     def test_replace_and_pickle(self, knot):
+        """A ``replace`` copy builds its tables from its own vertices; a
+        pickle or deepcopy copy carries the tables of the original."""
+        rows = _primitive_rows(knot)
         moved = dataclasses.replace(knot, vertices=knot.vertices[1:] + knot.vertices[:1])
         assert integer_edges(moved) == _scaled_edges(moved.vertices)
         assert integer_edges(moved) == integer_edges(knot)[1:] + integer_edges(knot)[:1]
+        assert "_primitive_rows" not in moved.__dict__
+        assert _primitive_rows(moved) == tuple(primitive_vector(e) for e in edge_vectors(moved).edges)
         renamed = dataclasses.replace(knot, name="u")
         assert renamed != knot and integer_edges(renamed) == integer_edges(knot)
         for copy in (pickle.loads(pickle.dumps(knot)), copy_module.deepcopy(knot)):
             assert copy == knot and hash(copy) == hash(knot) and repr(copy) == repr(knot)
             assert integer_edges(copy) == integer_edges(knot)
+            assert copy.__dict__["_primitive_rows"] == rows
+            assert _primitive_rows(copy) is copy.__dict__["_primitive_rows"]
 
 
 @given(
@@ -428,6 +450,15 @@ class TestQuantize:
         message = f"digits must be an integer, got {digits!r}"
         with pytest.raises(SuperbridgeError, match=f"^{re.escape(message)}$"):
             quantize(corpus["9_22"].knot, digits=digits)
+
+    @pytest.mark.parametrize("digits", [0, -1])
+    def test_digits_below_one_are_rejected(self, digits, corpus):
+        """Rejected before the rounding warning, which is not emitted."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SuperbridgeError, match="^digits must be >= 1$"):
+                quantize(corpus["9_22"].knot, digits=digits)
+        assert caught == []
 
     def test_integer_input_unchanged(self, corpus):
         p = corpus["9_22"].knot

@@ -428,6 +428,13 @@ def test_column_without_three_entries_is_rejected(cols):
         GordanMatrix.from_columns(cols)
 
 
+def test_matrix_without_columns_is_rejected():
+    with pytest.raises(SuperbridgeError, match="^matrix needs at least one column$"):
+        GordanMatrix(columns=())
+    with pytest.raises(SuperbridgeError, match="^matrix needs at least one column$"):
+        GordanMatrix.from_columns([])
+
+
 @pytest.mark.parametrize("entry", [0.1, 1.0, "1", None])
 def test_inexact_entry_is_rejected(entry):
     with pytest.raises(SuperbridgeError, match="entries must be ints or Fractions"):
