@@ -9,8 +9,11 @@ sides alike. Runs last ``--seconds`` (default: ``run_seconds`` of the
 change's ``BENCHMARK.json``) and write their result files to a temporary
 directory. For every end-to-end metric of ``BENCHMARK.json`` it prints one
 line: the median and quartiles of each side, the number of pairs (same
-seed) in which the change was strictly better, and the median gain against
-the parent's interquartile range. The ``peak_rss_mb`` line also gives
+seed) in which the change was strictly better, the median gain against
+the parent's interquartile range, and the no-regression check: how much
+worse the change's median is than the parent's, relative to the parent's,
+beside that metric's ``bound``, with ``OVER`` after a line whose
+difference exceeds its bound. The ``peak_rss_mb`` line also gives
 each side's median number of timed passes, since the benchmark keeps every
 pass and its peak memory grows with them. Exit status 1 if any run failed
 or reported a wrong answer.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -50,6 +54,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return (values[0],) * 3
     q1, q2, q3 = statistics.quantiles(values, n=4)
     return q1, q2, q3
+
+
+def worse(before: float, after: float, lower: bool) -> float:
+    """How much worse ``after`` is than ``before``, relative to ``before``."""
+    diff = (after - before) if lower else (before - after)
+    return diff / abs(before) if before else math.inf if diff > 0 else 0.0
 
 
 def main(argv=None) -> int:
@@ -89,6 +99,7 @@ def main(argv=None) -> int:
                 won = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
                 bq, aq = quartiles(before), quartiles(after)
                 gain = (bq[1] - aq[1]) if lower else (aq[1] - bq[1])
+                rel, bound = worse(bq[1], aq[1], lower), metric["bound"]
                 # The benchmark keeps every pass, so its peak RSS grows with
                 # the passes that fit in a run: print those beside it.
                 passes = "" if name != "peak_rss_mb" else (
@@ -97,7 +108,8 @@ def main(argv=None) -> int:
                 print(f"{workload} {name} [{metric['unit']}, {metric['better']}] "
                       f"parent {bq[1]:.4g} ({bq[0]:.4g}..{bq[2]:.4g}) "
                       f"change {aq[1]:.4g} ({aq[0]:.4g}..{aq[2]:.4g}) "
-                      f"won {won}/{len(pairs)} gain {gain:.4g} parent-iqr {bq[2] - bq[0]:.4g}"
+                      f"won {won}/{len(pairs)} gain {gain:.4g} parent-iqr {bq[2] - bq[0]:.4g} "
+                      f"worse {rel:+.4f} bound {bound:g}{' OVER' if rel > bound else ''}"
                       f"{passes}", flush=True)
     return 0 if ok else 1
 

@@ -213,40 +213,22 @@ def _descents(bits: np.ndarray) -> np.ndarray:
 def _screen(cols: list[tuple[int, ...]], samples: int, seed: int, stop_above=None) -> int:
     """Body of ``sampled_lower_bound`` on its validated primitive edge rows.
 
-    The first ``samples`` directions are read in one chunk, or with
-    ``stop_above`` in chunks of 8, 16, 32, ... directions: 24 bytes each, so
-    every chunk is whole 32-bit words of the stream and the chunks read the
-    same bytes as one call. A chunk with a generic direction of more than
-    ``stop_above`` descents ends the screen, which returns the most descents
-    of the chunk's generic directions. Such a direction is never redrawn, so
-    the full screen takes it too, and its maximum exceeds ``stop_above`` as
-    well; every other case redraws and returns as without ``stop_above``.
+    The ``samples`` directions are read in one chunk, or with ``stop_above``
+    in chunks of 8, 16, 32, ... directions: 24 bytes each, so every chunk is
+    whole 32-bit words of the stream and the chunks read the same bytes as
+    one call. Non-generic directions are skipped, and the result is the most
+    descents over the generic ones read, 0 if there are none. With
+    ``stop_above`` the screen stops after the first chunk that takes that
+    maximum above it; the full screen reads the same chunk, so the two
+    exceed ``stop_above`` together.
     """
     mat = np.array(cols, dtype=np.int64).T  # 3 x n
     rng = random.Random(seed)
-
-    def directions(k: int) -> np.ndarray:
+    most, read, k = 0, 0, samples if stop_above is None else 8
+    while read < samples and (stop_above is None or most <= stop_above):
+        k = min(k, samples - read)
         words = np.frombuffer(rng.randbytes(24 * k), dtype="<u8").reshape(k, 3)
-        dirs = (words % (2 * _DIRECTION_BOUND + 1)).view(np.int64)
-        dirs -= _DIRECTION_BOUND
-        return dirs
-
-    dots = np.empty((samples, len(cols)), dtype=np.int64)
-    read, k = 0, samples if stop_above is None else 8
-    while read < samples:
-        chunk = dots[read : read + k]
-        np.matmul(directions(len(chunk)), mat, out=chunk)
-        read, k = read + len(chunk), 2 * k
-        if stop_above is not None:
-            top = _descents(chunk > 0)[chunk.all(axis=1)]  # generic directions only
-            if top.size and top.max() > stop_above:
-                return int(top.max())
-    bad = (dots == 0).any(axis=1)
-    for _ in range(64):
-        if not bad.any():
-            break
-        dots[bad] = directions(int(bad.sum())) @ mat
-        bad = (dots == 0).any(axis=1)
-    else:
-        raise SuperbridgeError("could not draw generic directions")
-    return int(_descents(dots > 0).max())
+        dots = ((words % (2 * _DIRECTION_BOUND + 1)).view(np.int64) - _DIRECTION_BOUND) @ mat
+        most = max(most, int(_descents(dots > 0)[dots.all(axis=1)].max(initial=0)))
+        read, k = read + k, 2 * k
+    return most

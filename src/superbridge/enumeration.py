@@ -108,16 +108,16 @@ def sampled_lower_bound(p: PolygonalKnot, samples: int, seed: int, *, stop_above
     Deterministic for a fixed seed: each direction is 24 bytes of
     ``random.Random(seed).randbytes``, three little-endian 64-bit words
     each reduced modulo 2^21 + 1 into [-2^20, 2^20]. Non-generic draws are
-    rejected and redrawn from the same stream. Always a lower bound for (and
-    in practice usually equal to) the enumerated superbridge number. The
-    seed must be an integer >= 0 and samples x edges at most
+    skipped, and 0 is returned if no draw is generic. Always a lower bound
+    for (and in practice usually equal to) the enumerated superbridge
+    number. The seed must be an integer >= 0 and samples x edges at most
     SCREEN_ENTRIES_MAX.
 
     With an integer ``stop_above`` the screen stops at the first chunk of
     directions (8, 16, 32, ... of them) that has a generic direction above
-    it, and returns that chunk's most descents over generic directions: still a
-    lower bound, and above ``stop_above`` exactly when the maximum is.
-    Otherwise it returns the maximum, as without ``stop_above``.
+    it, and returns the most descents over the generic directions read so
+    far: still a lower bound, and above ``stop_above`` exactly when the
+    maximum is. Otherwise it returns the maximum, as without ``stop_above``.
     """
     if not isinstance(seed, Integral) or seed < 0:
         raise SuperbridgeError(f"seed must be an integer >= 0, got {seed!r}")

@@ -224,9 +224,9 @@ class SearchRun:
     The screen never exceeds the exact value, so that seed can move a sample
     between ``screened_out`` and rejected-after-exact, but never a candidate.
     The screen is ``sampled_lower_bound`` with ``stop_above`` the target,
-    so it rejects a sample exactly when the maximum over all its directions
-    would. It runs only below floor(n/2), where it can reject; the screen
-    seed is drawn at every target all the same.
+    so it rejects a sample exactly when the maximum over all its generic
+    directions would. It runs only below floor(n/2), where it can reject;
+    the screen seed is drawn at every target all the same.
     """
 
     config: SearchConfig

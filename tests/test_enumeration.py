@@ -500,6 +500,37 @@ class TestSuperbridgeNumber:
         assert superbridge_number(reflected).value == superbridge_number(skew_quad).value
 
 
+def reference_screen(verts, samples, seed, bound, stop_above=None):
+    """``sampled_lower_bound`` in plain Python on integer vertices.
+
+    Direction i is bytes 24 i to 24 i + 24 of ``randbytes``, three
+    little-endian words reduced into [-bound, bound]. Non-generic directions
+    are skipped, and each generic one counts its cyclic descents. Without
+    ``stop_above`` the result is the most descents, 0 if none is generic;
+    with it, the most over the chunks of 8, 16, 32, ... directions up to the
+    first chunk that has a direction above ``stop_above``.
+    """
+    edges = [tuple(b - a for a, b in zip(u, v)) for u, v in zip(verts, verts[1:] + verts[:1])]
+    data = random.Random(seed).randbytes(24 * samples)
+    counts = []
+    for i in range(samples):
+        d = [int.from_bytes(data[24 * i + 8 * j : 24 * i + 8 * j + 8], "little") for j in range(3)]
+        d = [x % (2 * bound + 1) - bound for x in d]
+        dots = [sum(x * y for x, y in zip(d, e)) for e in edges]
+        # A skipped direction counts 0, which no generic direction is below.
+        descents = sum(a > 0 > b for a, b in zip(dots, dots[1:] + dots[:1]))
+        counts.append(0 if 0 in dots else descents)
+    end, size = samples, 8
+    if stop_above is not None:
+        end = 0
+        while end < samples:
+            end = min(end + size, samples)
+            size *= 2
+            if max(counts[:end]) > stop_above:
+                break
+    return max(counts[:end], default=0)
+
+
 class TestSampledLowerBound:
     def test_square_any_seed(self, square):
         for seed in (0, 1, 17):
@@ -544,7 +575,7 @@ class TestSampledLowerBound:
         """``stop_above=t`` exceeds t exactly when the full maximum does,
         never exceeds that maximum, and equals it when it stays at or below
         t. Entries in [-1, 1] make 4 to 56 % of the directions non-generic
-        on these polygons, so the redraw path runs after the chunks too."""
+        on these polygons, so the chunks skip directions too."""
         monkeypatch.setattr(_kernel, "_DIRECTION_BOUND", bound)
         rng = random.Random(24)
         for n in range(5, 25):
@@ -560,6 +591,27 @@ class TestSampledLowerBound:
                         stopped = sampled_lower_bound(p, 200, seed, stop_above=t)
                         assert (stopped > t) == (full > t), (n, planar, seed, t)
                         assert stopped == full if stopped <= t else stopped <= full
+
+    @pytest.mark.parametrize("samples", [6, 13, 40])
+    @pytest.mark.parametrize("bound", [1, 0])
+    def test_screen_matches_plain_python(self, monkeypatch, bound, samples):
+        """At entries in [-bound, bound] the screen equals ``reference_screen``,
+        with and without ``stop_above``: no direction is redrawn, and at
+        bound 0, where no direction is generic, both are 0."""
+        monkeypatch.setattr(_kernel, "_DIRECTION_BOUND", bound)
+        rng = random.Random(27)
+        for n in range(4, 16):
+            for planar in (False, True):
+                verts = [
+                    (rng.randint(-9, 9), rng.randint(-9, 9), 0 if planar else rng.randint(-9, 9))
+                    for _ in range(n)
+                ]
+                p = PolygonalKnot.from_coordinates(f"p{n}", verts)
+                for seed in (0, 1, 2):
+                    for t in (None, *range(n // 2 + 1)):
+                        expected = reference_screen(verts, samples, seed, bound, t)
+                        got = sampled_lower_bound(p, samples, seed, stop_above=t)
+                        assert got == expected, (n, planar, seed, t)
 
     def test_screen_size_limit(self, square):
         from superbridge.enumeration import SCREEN_ENTRIES_MAX

@@ -43,6 +43,25 @@ def test_script_exits_0(argv, package_env):
         assert proc.stdout.count("planted error caught") == 4, proc.stdout
 
 
+@pytest.mark.parametrize(
+    "args,code,message",
+    [
+        (["--samples", "0"], 2, "ensemble_stats.py: error: --samples must be at least 1, got 0"),
+        (["--edges", "2"], 1, "error: need at least 3 edges"),
+        (["--radius", "1/4"], 1, "error: confinement radius must be a rational >= 1/2, got '1/4'"),
+    ],
+)
+def test_ensemble_stats_bad_input(args, code, message, package_env):
+    """Bad input ends in a usage error or one ``error:`` line, no traceback."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ensemble_stats.py"), *args],
+        env=package_env, capture_output=True, text=True, timeout=300,
+    )
+    assert (proc.returncode, proc.stdout) == (code, ""), proc.stderr
+    assert proc.stderr.splitlines()[-1] == message, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.fixture(scope="module")
 def paired_bench_lines(package_env):
     """The result lines of one 2-seed ``paired_bench.py`` run of this
@@ -57,10 +76,18 @@ def paired_bench_lines(package_env):
 
 
 def test_paired_bench_against_itself(paired_bench_lines):
-    """A line per end-to-end metric, each with its win count."""
-    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    """A line per end-to-end metric, each with its win count and its
+    relative difference beside that metric's ``BENCHMARK.json`` bound,
+    marked ``OVER`` past it."""
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = [m["name"] for m in end_to_end]
     assert [ln.split()[:2] for ln in paired_bench_lines] == [["ensemble", m] for m in metrics], paired_bench_lines
     assert all("won " in ln for ln in paired_bench_lines)
+    for ln, metric in zip(paired_bench_lines, end_to_end):
+        fields = ln.partition(" passes ")[0].split()
+        worse, bound = fields.index("worse"), fields.index("bound")
+        assert bound == worse + 2 and float(fields[bound + 1]) == metric["bound"], ln
+        assert ("OVER" in fields) == (float(fields[worse + 1]) > metric["bound"]), ln
 
 
 def test_paired_bench_gives_pass_counts_beside_peak_rss(paired_bench_lines):
