@@ -8,7 +8,9 @@ Both checkouts run the same invocations on the data files of CHANGE:
 manifest, ``sb normalize`` with neither flag on the first, ``sb verify`` (text and ``--json``) on each shipped
 certificate, on all of them at once and on a +1-tampered copy of each
 (written once, to a temporary directory both checkouts read, so rejection
-diagnostics are compared too), ``sb table`` on each metadata
+diagnostics are compared too), ``sb verify`` (text and ``--json``) at once
+on every odd certificate in each of the verifier's other two layouts,
+written beside the tampered copies, ``sb table`` on each metadata
 file in every ``--format``, with and without ``--exact-only``, a few
 fixed ``sb search`` runs (n = 6 to 33, radii 1, 3/2, 5/2 and 3, candidates
 with certificates, and one run whose samples the screen all rejects),
@@ -89,10 +91,45 @@ def sampled(change: Path, out: Path) -> list[str]:
         return paths
 
 
-def invocations(data: Path, tampered: Path, polygons: list[str]) -> list[list[str]]:
-    """The ``sb`` argument lists to compare, on the data directory ``data``
-    and the coordinate files ``polygons``; tampered certificate copies are
-    written to ``tampered``."""
+def layouts(change: Path, data: Path, out: Path) -> tuple[list[str], list[str]]:
+    """Paths of a direct-layout and a mixed-layout document of every odd
+    certificate in ``data``, written to ``out`` by the package of ``change``.
+
+    The direct document holds the ``sb find`` bundle of the knot. The mixed
+    one is the shipped bundle with systems 2, n, 3 and n - 1 moved to their
+    direct columns; system j's direct column is the published column of
+    system (2 - j) mod n, so each pair moves together.
+    """
+    with package(change) as sb:
+        corpus = importlib.import_module("superbridge.corpus")
+        certificates = importlib.import_module("superbridge.certificates")
+        direct, mixed = [], []
+        for cert in sorted((data / "certificates").glob("*.cert")):
+            doc = sb.load_certificate_document(cert)
+            p, n = doc.knot, doc.knot.n
+            if n % 2 == 0:
+                continue
+            found = corpus.CertificateDocument(p, sb.find_certificate(p).bundle)
+            direct.append(str(out / f"direct_{cert.name}"))
+            corpus.save_certificate_document(found, direct[-1])
+            columns = [doc.bundle.column(c) for c in range(n)]
+            for j in (2, n, 3, n - 1):
+                c, r = certificates.published_column_for_system(n, j)
+                col = doc.bundle.column(c)
+                columns[j - 1] = tuple(col[(q - r) % n] for q in range(n))
+            moved = sb.CertificateBundle(matrix=tuple(zip(*columns)))
+            mixed.append(str(out / f"mixed_{cert.name}"))
+            corpus.save_certificate_document(corpus.CertificateDocument(p, moved), mixed[-1])
+        return direct, mixed
+
+
+def invocations(
+    data: Path, tampered: Path, polygons: list[str], layout_sets: list[list[str]]
+) -> list[list[str]]:
+    """The ``sb`` argument lists to compare, on the data directory ``data``,
+    the coordinate files ``polygons`` and the certificate sets
+    ``layout_sets``; tampered certificate copies are written to
+    ``tampered``."""
     manifest = json.loads((data / "corpus.json").read_text(encoding="utf-8"))["entries"]
     runs = []
     for item in manifest:
@@ -102,7 +139,7 @@ def invocations(data: Path, tampered: Path, polygons: list[str]) -> list[list[st
     runs.append(["normalize", str(data / manifest[0]["realization"])])
     certs = [str(data / item["certificate"]) for item in manifest if item.get("certificate")]
     bad = [tamper(Path(c), tampered) for c in certs]
-    for paths in [[c] for c in certs] + [certs] + [[c] for c in bad]:
+    for paths in [[c] for c in certs] + [certs] + [[c] for c in bad] + layout_sets:
         runs += [["verify", *paths, *flag] for flag in ([], ["--json"])]
     for meta in sorted((data / "metadata").glob("*.csv")):
         for fmt in ("text", "csv", "json"):
@@ -160,7 +197,8 @@ def main(argv=None) -> int:
     parent, change = args.parent.resolve(), args.change.resolve()
     data = change / "src" / "superbridge" / "data"
     with tempfile.TemporaryDirectory() as tampered:
-        runs = invocations(data, Path(tampered), sampled(change, Path(tampered)))
+        out = Path(tampered)
+        runs = invocations(data, out, sampled(change, out), list(layouts(change, data, out)))
         before, after = outputs(parent, runs), outputs(change, runs)
     differ = 0
     for argv, old, new in zip(runs, before, after):

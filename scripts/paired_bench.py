@@ -13,7 +13,11 @@ seed) in which the change was strictly better, the median gain against
 the parent's interquartile range, and the no-regression check: how much
 worse the change's median is than the parent's, relative to the parent's,
 beside that metric's ``bound``, with ``OVER`` after a line whose
-difference exceeds its bound. The ``peak_rss_mb`` line also gives
+difference exceeds its bound. Then comes the parent's ``spread``, its
+interquartile range over its median, with ``UNRESOLVED`` when the spread
+exceeds the bound and some change run is not better than every parent
+run: the runs then cannot tell a difference within the bound from none.
+The ``peak_rss_mb`` line also gives
 each side's median number of timed passes, since the benchmark keeps every
 pass and its peak memory grows with them. Exit status 1 if any run failed
 or reported a wrong answer.
@@ -62,6 +66,11 @@ def worse(before: float, after: float, lower: bool) -> float:
     return diff / abs(before) if before else math.inf if diff > 0 else 0.0
 
 
+def separated(before: list[float], after: list[float], lower: bool) -> bool:
+    """Whether every run of ``after`` is better than every run of ``before``."""
+    return max(after) < min(before) if lower else min(after) > max(before)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -100,6 +109,8 @@ def main(argv=None) -> int:
                 bq, aq = quartiles(before), quartiles(after)
                 gain = (bq[1] - aq[1]) if lower else (aq[1] - bq[1])
                 rel, bound = worse(bq[1], aq[1], lower), metric["bound"]
+                spread = worse(bq[1], bq[1] + bq[2] - bq[0], lower=True)
+                unresolved = spread > bound and not separated(before, after, lower)
                 # The benchmark keeps every pass, so its peak RSS grows with
                 # the passes that fit in a run: print those beside it.
                 passes = "" if name != "peak_rss_mb" else (
@@ -109,7 +120,8 @@ def main(argv=None) -> int:
                       f"parent {bq[1]:.4g} ({bq[0]:.4g}..{bq[2]:.4g}) "
                       f"change {aq[1]:.4g} ({aq[0]:.4g}..{aq[2]:.4g}) "
                       f"won {won}/{len(pairs)} gain {gain:.4g} parent-iqr {bq[2] - bq[0]:.4g} "
-                      f"worse {rel:+.4f} bound {bound:g}{' OVER' if rel > bound else ''}"
+                      f"worse {rel:+.4f} bound {bound:g}{' OVER' if rel > bound else ''} "
+                      f"spread {spread:.4f}{' UNRESOLVED' if unresolved else ''}"
                       f"{passes}", flush=True)
     return 0 if ok else 1
 

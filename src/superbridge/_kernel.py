@@ -213,18 +213,18 @@ def _descents(bits: np.ndarray) -> np.ndarray:
 def _screen(cols: list[tuple[int, ...]], samples: int, seed: int, stop_above=None) -> int:
     """Body of ``sampled_lower_bound`` on its validated primitive edge rows.
 
-    The ``samples`` directions are read in one chunk, or with ``stop_above``
-    in chunks of 8, 16, 32, ... directions: 24 bytes each, so every chunk is
-    whole 32-bit words of the stream and the chunks read the same bytes as
-    one call. Non-generic directions are skipped, and the result is the most
-    descents over the generic ones read, 0 if there are none. With
+    The ``samples`` directions are read in chunks of 8, 16, 32, ...
+    directions, the last cut to what is left: 24 bytes each, so every chunk
+    is whole 32-bit words of the stream and the chunks read the same bytes
+    as one call. Non-generic directions are skipped, and the result is the
+    most descents over the generic ones read, 0 if there are none. With
     ``stop_above`` the screen stops after the first chunk that takes that
     maximum above it; the full screen reads the same chunk, so the two
     exceed ``stop_above`` together.
     """
     mat = np.array(cols, dtype=np.int64).T  # 3 x n
     rng = random.Random(seed)
-    most, read, k = 0, 0, samples if stop_above is None else 8
+    most, read, k = 0, 0, 8
     while read < samples and (stop_above is None or most <= stop_above):
         k = min(k, samples - read)
         words = np.frombuffer(rng.randbytes(24 * k), dtype="<u8").reshape(k, 3)

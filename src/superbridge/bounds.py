@@ -59,7 +59,6 @@ class KnotRecord:
     bridge_index: Optional[int] = None
     stick_upper: Optional[int] = None
     is_trivial: bool = False
-    jeon_jin_exception: bool = False
     certified_upper: Optional[int] = None
     known_exact: Optional[int] = None
     citation: str = ""
@@ -69,6 +68,11 @@ class KnotRecord:
             raise SuperbridgeError(f"{self.name}: bridge index must be >= 1")
         if self.stick_upper is not None and self.stick_upper < 3:
             raise SuperbridgeError(f"{self.name}: stick number must be >= 3")
+
+    @property
+    def jeon_jin_exception(self) -> bool:
+        """Whether the knot is one of the THREE_SUPERBRIDGE_CANDIDATES."""
+        return self.name in THREE_SUPERBRIDGE_CANDIDATES
 
 
 @dataclass(frozen=True)
@@ -190,9 +194,9 @@ def _flag(s: str) -> bool:
 def load_metadata_csv(source) -> list[KnotRecord]:
     """Parse the metadata CSV (header row required, UTF-8).
 
-    ``source`` is a path or an open text handle. The 3-superbridge flag is
-    cross-checked against the built-in candidate list. Malformed rows and
-    undecodable bytes raise ParseError naming the CSV line.
+    ``source`` is a path or an open text handle. The ``jeon_jin_flag`` column
+    must agree with the candidate list, from which records derive the flag.
+    Malformed rows and undecodable bytes raise ParseError naming the CSV line.
     """
     if hasattr(source, "read"):
         return _parse_metadata(source, getattr(source, "name", "<metadata>"))
@@ -218,6 +222,8 @@ def _parse_metadata(fh, path) -> list[KnotRecord]:
     for row in reader:
         if None in row.values():
             raise ParseError(path, reader.line_num, "row has too few fields")
+        if None in row:
+            raise ParseError(path, reader.line_num, "row has too many fields")
         name = row["name"].strip()
         flag = _flag(row["jeon_jin_flag"])
         if flag != (name in THREE_SUPERBRIDGE_CANDIDATES):
@@ -230,7 +236,6 @@ def _parse_metadata(fh, path) -> list[KnotRecord]:
                 bridge_index=opt_int(row, "bridge_index"),
                 stick_upper=opt_int(row, "stick_upper"),
                 is_trivial=_flag(row["trivial_flag"]),
-                jeon_jin_exception=flag,
                 certified_upper=opt_int(row, "certified_upper"),
                 known_exact=opt_int(row, "known_exact"),
                 citation=row["citation"].strip(),

@@ -51,7 +51,6 @@ class SuperbridgeResult:
     value: int
     witness_direction: Direction
     pattern_count: int
-    certified_by: str = "enumeration"
 
 
 def realizable_patterns(e: EdgeVectors) -> tuple[RealizablePattern, ...]:
@@ -113,11 +112,12 @@ def sampled_lower_bound(p: PolygonalKnot, samples: int, seed: int, *, stop_above
     number. The seed must be an integer >= 0 and samples x edges at most
     SCREEN_ENTRIES_MAX.
 
-    With an integer ``stop_above`` the screen stops at the first chunk of
-    directions (8, 16, 32, ... of them) that has a generic direction above
-    it, and returns the most descents over the generic directions read so
-    far: still a lower bound, and above ``stop_above`` exactly when the
-    maximum is. Otherwise it returns the maximum, as without ``stop_above``.
+    The directions are read in chunks of 8, 16, 32, ... of them. With an
+    integer ``stop_above`` the screen stops at the first chunk that has a
+    generic direction above it, and returns the most descents over the
+    generic directions read so far: still a lower bound, and above
+    ``stop_above`` exactly when the maximum is. Otherwise it returns the
+    maximum, as without ``stop_above``.
     """
     if not isinstance(seed, Integral) or seed < 0:
         raise SuperbridgeError(f"seed must be an integer >= 0, got {seed!r}")

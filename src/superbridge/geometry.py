@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -63,7 +63,6 @@ class PolygonalKnot:
 
     name: str
     vertices: tuple[Vec3, ...]
-    provenance: str = ""
 
     def __post_init__(self):
         n = len(self.vertices)
@@ -78,17 +77,12 @@ class PolygonalKnot:
             raise DegeneratePolygon(f"{self.name}: all edges parallel (curve lies on a line)")
 
     @classmethod
-    def from_coordinates(
-        cls,
-        name: str,
-        coordinates: Sequence[Sequence[Rational]],
-        provenance: str = "",
-    ) -> "PolygonalKnot":
+    def from_coordinates(cls, name: str, coordinates: Sequence[Sequence[Rational]]) -> "PolygonalKnot":
         for i, row in enumerate(coordinates):
             if len(row) != 3:
                 raise SuperbridgeError(f"{name}: vertex {i} has {len(row)} coordinates, expected 3")
         verts = tuple(vec3(*row) for row in coordinates)
-        return cls(name=name, vertices=verts, provenance=provenance)
+        return cls(name=name, vertices=verts)
 
     @property
     def n(self) -> int:
@@ -150,24 +144,20 @@ class Direction:
 
 @dataclass(frozen=True)
 class SignPattern:
-    """Cyclic +/-1 vector of edge projection signs with its descent count.
-
-    ``descents`` is the cyclic number of (+ -> -) transitions, which equals
-    the number of local maxima of the projection. For a cyclic sequence it
-    always equals the (- -> +) count, so it is at most floor(n/2).
-    """
+    """Cyclic +/-1 vector of edge projection signs."""
 
     signs: tuple[int, ...]
-    descents: int = field(default=-1)
 
     def __post_init__(self):
         if any(s not in (1, -1) for s in self.signs):
             raise SuperbridgeError("sign pattern entries must be +1 or -1")
-        down = cyclic_descents(self.signs)
-        if self.descents == -1:
-            object.__setattr__(self, "descents", down)
-        if self.descents != down:
-            raise SuperbridgeError(f"descents {self.descents} != computed {down}")
+
+    @property
+    def descents(self) -> int:
+        """The cyclic number of (+ -> -) transitions, which equals the number
+        of local maxima of the projection. For a cyclic sequence it always
+        equals the (- -> +) count, so it is at most floor(n/2)."""
+        return cyclic_descents(self.signs)
 
     def __len__(self) -> int:
         return len(self.signs)
@@ -305,7 +295,7 @@ def quantize(p: PolygonalKnot, digits: int = 3) -> PolygonalKnot:
     rounded = tuple(
         vec3(*(_round_half_away(c * scale) for c in v)) for v in anchored
     )
-    return PolygonalKnot(name=p.name, vertices=rounded, provenance=p.provenance)
+    return PolygonalKnot(name=p.name, vertices=rounded)
 
 
 #: Relative size below which ``normalize_pose`` calls the first three
@@ -347,4 +337,4 @@ def normalize_pose(p: PolygonalKnot) -> PolygonalKnot:
     if not all(math.isfinite(c) for w in out for c in w):
         raise SuperbridgeError(too_large)
     coords = tuple(vec3(*(Fraction(c) for c in w)) for w in out)
-    return PolygonalKnot(name=p.name, vertices=coords, provenance=p.provenance)
+    return PolygonalKnot(name=p.name, vertices=coords)

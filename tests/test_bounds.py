@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 
 import pytest
@@ -55,7 +56,7 @@ class TestLowerBound:
         assert lower_bound(KnotRecord(name="0_1", is_trivial=True, known_exact=1)) == 1
 
     def test_exception_knot_with_two_bridges(self):
-        r = KnotRecord(name="5_2", bridge_index=2, jeon_jin_exception=True, stick_upper=8)
+        r = KnotRecord(name="5_2", bridge_index=2, stick_upper=8)
         assert lower_bound(r) == 3
 
     def test_four_bridge_knot(self):
@@ -65,7 +66,7 @@ class TestLowerBound:
     def test_unknown_bridge_defaults_low(self):
         r = KnotRecord(name="9_2", stick_upper=10)
         assert lower_bound(r) == 4
-        r = KnotRecord(name="5_2", jeon_jin_exception=True, stick_upper=8)
+        r = KnotRecord(name="5_2", stick_upper=8)
         assert lower_bound(r) == 3
 
     def test_known_exact_lifts_lower(self):
@@ -89,7 +90,7 @@ class TestUpperBound:
 
 class TestInterval:
     def test_five_two(self):
-        r = KnotRecord(name="5_2", jeon_jin_exception=True, stick_upper=8)
+        r = KnotRecord(name="5_2", stick_upper=8)
         assert str(interval(r)) == "[3,4]"
 
     def test_certified_exact(self):
@@ -105,6 +106,22 @@ class TestInterval:
     def test_inconsistent(self):
         with pytest.raises(InconsistentRecord):
             interval(KnotRecord(name="bad_1", bridge_index=9, certified_upper=4))
+
+    def test_candidates_derive_the_exception(self):
+        """Candidate-list membership is derived from the name, never set."""
+        assert [f.name for f in dataclasses.fields(KnotRecord)] == [
+            "name", "bridge_index", "stick_upper", "is_trivial", "certified_upper", "known_exact",
+            "citation",
+        ]
+        for name in sorted(THREE_SUPERBRIDGE_CANDIDATES):
+            r = KnotRecord(name=name, bridge_index=2, stick_upper=6)
+            assert r.jeon_jin_exception and str(interval(r)) == "3", name
+        r = KnotRecord(name="9_3", bridge_index=2, stick_upper=10)
+        assert not r.jeon_jin_exception and lower_bound(r) == 4
+        with pytest.raises(AttributeError):
+            r.jeon_jin_exception = True
+        with pytest.raises(TypeError):
+            KnotRecord(name="9_3", jeon_jin_exception=True)
 
 
 @pytest.mark.parametrize(
@@ -161,15 +178,15 @@ class TestRenderTable:
 
     def test_text_rows(self):
         recs = [
-            KnotRecord(name="5_2", jeon_jin_exception=True, stick_upper=8),
-            KnotRecord(name="3_1", jeon_jin_exception=True, known_exact=3),
+            KnotRecord(name="5_2", stick_upper=8),
+            KnotRecord(name="3_1", known_exact=3),
         ]
         assert render_table(recs, fmt="text") == "3_1 3\n5_2 [3,4]\n"
 
     def test_exact_only_filter(self):
         recs = [
-            KnotRecord(name="5_2", jeon_jin_exception=True, stick_upper=8),
-            KnotRecord(name="3_1", jeon_jin_exception=True, known_exact=3),
+            KnotRecord(name="5_2", stick_upper=8),
+            KnotRecord(name="3_1", known_exact=3),
         ]
         assert render_table(recs, fmt="text", exact_only=True) == "3_1 3\n"
 
@@ -177,7 +194,7 @@ class TestRenderTable:
         import csv as csv_mod
         import json as json_mod
 
-        recs = [KnotRecord(name="3_1", jeon_jin_exception=True, known_exact=3)]
+        recs = [KnotRecord(name="3_1", known_exact=3)]
         rows = list(csv_mod.reader(io.StringIO(render_table(recs, fmt="csv"))))
         assert rows == [["name", "lo", "hi"], ["3_1", "3", "3"]]
         payload = json_mod.loads(render_table(recs, fmt="json"))
@@ -224,10 +241,12 @@ class TestMetadataCsv:
         assert column in str(exc.value)
 
     def test_short_row_rejected(self):
-        text = ",".join(METADATA_COLUMNS) + "\n3_1,2\n"
-        with pytest.raises(ParseError) as exc:
-            load_metadata_csv(io.StringIO(text))
-        assert exc.value.line_no == 2
+        """A row with too few or too many fields names its line."""
+        for row in ("3_1,2", "9_3,3,10,0,0,4,,this-work, extra"):
+            text = ",".join(METADATA_COLUMNS) + "\n" + row + "\n"
+            with pytest.raises(ParseError) as exc:
+                load_metadata_csv(io.StringIO(text))
+            assert exc.value.line_no == 2, row
 
     def test_missing_column(self):
         with pytest.raises(SuperbridgeError):

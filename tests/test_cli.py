@@ -388,6 +388,11 @@ def test_bad_input_is_a_typed_error(tmp_path, name, package_env):
         (b"", ["verify"], "{path}:1: missing 'knot:' field"),
         (b"knot: x\n", ["verify"], "{path}:1: missing 'parity:' field"),
         (b"0 0 0\n1 0 0\n0 1 0\n", ["normalize", "--digits", "0"], "digits must be >= 1"),
+        (
+            (_HEADER + "9_3,3,10,0,0,4,,this-work, extra\n").encode(),
+            ["table", "--metadata"],
+            "{path}:2: row has too many fields",
+        ),
     ],
 )
 def test_bad_input_message_names_the_problem(tmp_path, package_env, content, argv, message):

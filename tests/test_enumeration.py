@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import random
+import types
 from fractions import Fraction
 from math import isqrt
 
@@ -479,7 +481,9 @@ class TestSuperbridgeNumber:
         res = superbridge_number(square)
         assert res.value == 1
         assert res.pattern_count == 4
-        assert res.certified_by == "enumeration"
+        assert [f.name for f in dataclasses.fields(res)] == [
+            "value", "witness_direction", "pattern_count"
+        ]
 
     def test_witness_achieves_value(self, corpus):
         from superbridge import descent_count
@@ -612,6 +616,23 @@ class TestSampledLowerBound:
                         expected = reference_screen(verts, samples, seed, bound, t)
                         got = sampled_lower_bound(p, samples, seed, stop_above=t)
                         assert got == expected, (n, planar, seed, t)
+
+    @pytest.mark.parametrize("stop_above", [None, 1])
+    def test_screen_reads_doubling_chunks(self, monkeypatch, square, stop_above):
+        """Every screen reads 8, 16, 32, ... directions a chunk, the last cut
+        to what is left, with ``stop_above`` or without it."""
+        chunks = []
+
+        class Spy(random.Random):
+            def randbytes(self, k):
+                chunks.append(k // 24)
+                return super().randbytes(k)
+
+        monkeypatch.setattr(_kernel, "random", types.SimpleNamespace(Random=Spy))
+        for samples, expected in [(8, [8]), (100, [8, 16, 32, 44]), (120, [8, 16, 32, 64])]:
+            chunks.clear()
+            assert sampled_lower_bound(square, samples, 3, stop_above=stop_above) == 1
+            assert chunks == expected, samples
 
     def test_screen_size_limit(self, square):
         from superbridge.enumeration import SCREEN_ENTRIES_MAX

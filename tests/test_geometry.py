@@ -156,9 +156,16 @@ class TestSignPattern:
             seen += 1
             assert d <= 4
 
-    def test_descents_validated(self):
-        with pytest.raises(Exception):
-            SignPattern(signs=(1, -1, 1, -1), descents=1)
+    def test_descents_derived(self):
+        """``descents`` is read off the signs; it is no field and cannot be set."""
+        pat = SignPattern(signs=(1, -1, 1, -1))
+        assert [f.name for f in dataclasses.fields(pat)] == ["signs"]
+        assert pat.descents == 2
+        with pytest.raises(AttributeError):
+            pat.descents = 1
+        for k in (1, 2):
+            with pytest.raises(TypeError):
+                SignPattern((1, -1, 1, -1), descents=k)
 
     @pytest.mark.parametrize("signs", [(1, 0), (2, -1)])
     def test_entries_must_be_signs(self, signs):
@@ -302,19 +309,17 @@ class TestEdgeTable:
     @pytest.fixture
     def knot(self):
         return PolygonalKnot.from_coordinates(
-            "t", [("1/2", 0, 0), (3, "-1/3", 1), (0, 2, "5/7"), (-1, 0, 0)], provenance="src"
+            "t", [("1/2", 0, 0), (3, "-1/3", 1), (0, 2, "5/7"), (-1, 0, 0)]
         )
 
     def test_not_a_field(self, knot):
-        assert [f.name for f in dataclasses.fields(knot)] == ["name", "vertices", "provenance"]
+        assert [f.name for f in dataclasses.fields(knot)] == ["name", "vertices"]
 
     def test_eq_hash_repr_see_fields_only(self, knot):
-        twin = PolygonalKnot(name=knot.name, vertices=knot.vertices, provenance=knot.provenance)
+        twin = PolygonalKnot(name=knot.name, vertices=knot.vertices)
         assert twin == knot and twin is not knot
-        assert hash(knot) == hash((knot.name, knot.vertices, knot.provenance))
-        assert repr(knot) == (
-            f"PolygonalKnot(name='t', vertices={knot.vertices!r}, provenance='src')"
-        )
+        assert hash(knot) == hash((knot.name, knot.vertices))
+        assert repr(knot) == f"PolygonalKnot(name='t', vertices={knot.vertices!r})"
 
     def test_same_object_on_every_call(self, knot):
         table = integer_edges(knot)

@@ -78,7 +78,8 @@ def paired_bench_lines(package_env):
 def test_paired_bench_against_itself(paired_bench_lines):
     """A line per end-to-end metric, each with its win count and its
     relative difference beside that metric's ``BENCHMARK.json`` bound,
-    marked ``OVER`` past it."""
+    marked ``OVER`` past it, then the parent's spread, marked
+    ``UNRESOLVED`` past the bound unless every change run is better."""
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     metrics = [m["name"] for m in end_to_end]
     assert [ln.split()[:2] for ln in paired_bench_lines] == [["ensemble", m] for m in metrics], paired_bench_lines
@@ -88,6 +89,21 @@ def test_paired_bench_against_itself(paired_bench_lines):
         worse, bound = fields.index("worse"), fields.index("bound")
         assert bound == worse + 2 and float(fields[bound + 1]) == metric["bound"], ln
         assert ("OVER" in fields) == (float(fields[worse + 1]) > metric["bound"]), ln
+        median, iqr = (float(fields[fields.index(k) + 1]) for k in ("parent", "parent-iqr"))
+        spread = fields.index("spread")
+        assert spread == bound + 2 + ("OVER" in fields), ln
+        value = float(fields[spread + 1])
+        assert value == pytest.approx(iqr / median, rel=1e-3, abs=1e-4), ln
+        won, pairs = map(int, fields[fields.index("won") + 1].split("/"))
+        if "UNRESOLVED" in fields:
+            assert fields.index("UNRESOLVED") == spread + 2 and value > metric["bound"], ln
+        else:
+            assert value <= metric["bound"] or won == pairs, ln
+    paired_bench = _script("paired_bench")
+    assert paired_bench.separated([3, 4], [1, 2], lower=True)
+    assert not paired_bench.separated([3, 4], [1, 3], lower=True)
+    assert paired_bench.separated([1, 2], [3, 4], lower=False)
+    assert not paired_bench.separated([1, 2], [2, 4], lower=False)
 
 
 def test_paired_bench_gives_pass_counts_beside_peak_rss(paired_bench_lines):
@@ -108,8 +124,9 @@ def test_compare_outputs_against_itself(package_env):
     assert proc.returncode == 0, proc.stderr
     # 22 realizations x (exact/find x text/json + 3 normalize runs), 1 normalize
     # run without flags, 20 + 1 verify runs x 2, 20 tampered verify runs x 2,
-    # 12 tables, 7 searches, 5 raw sampler polygons x exact text/json
-    assert proc.stdout.splitlines() == ["266 invocations, 0 differ"], proc.stdout
+    # the direct and the mixed layouts x verify text/json, 12 tables,
+    # 7 searches, 5 raw sampler polygons x exact text/json
+    assert proc.stdout.splitlines() == ["270 invocations, 0 differ"], proc.stdout
 
 
 def test_compare_outputs_tampers_one_bundle_entry_of_each_certificate(tmp_path):

@@ -84,10 +84,9 @@ def _attribute_backdoors(tree: ast.AST) -> list[tuple[str, str, int]]:
 
 
 def test_tables_are_kept_on_frozen_objects_in_one_place():
-    """A frozen object gains an undeclared attribute in two places only:
-    ``SignPattern`` fills in its ``descents`` field, and ``geometry._kept``
-    keeps every table a polygon derives, its edge table included. Another
-    cache goes through ``_kept`` rather than a copy of it."""
+    """A frozen object gains an undeclared attribute in one place only:
+    ``geometry._kept`` keeps every table a polygon derives, its edge table
+    included. Another cache goes through ``_kept`` rather than a copy of it."""
     found = []
     for path in sorted(Path(superbridge.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -95,7 +94,6 @@ def test_tables_are_kept_on_frozen_objects_in_one_place():
     allowed = [
         ("geometry.py", "_kept", "__dict__"),
         ("geometry.py", "_kept", "object.__setattr__"),
-        ("geometry.py", "SignPattern.__post_init__", "object.__setattr__"),
     ]
     assert [site[:3] for site in found] == allowed, found
 
