@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .enumeration import _DIRECTION_BOUND, DegenerateEdgeSet
-from .geometry import Direction
+from .geometry import DegenerateEdgeSet, Direction
 from .linalg import SuperbridgeError, cross3, primitive_vector
 
 #: Bound on the temporary bytes of one block of the arrangement kernel, for
@@ -27,6 +26,8 @@ KERNEL_TEMP_BYTES = 1 << 22
 # Perturbation j of a vertex v0 has d1 = -t1 if j & 2 and d2 = -t2 if j & 1;
 # j & 4 swaps the circles (t1 and t2), and j & 8 negates v0, d1 and d2.
 _S1, _S2 = np.array([[[1], [1], [-1], [-1]], [[1], [-1], [1], [-1]]], dtype=np.int8)
+_DIRECTION_BOUND = 1 << 20
+_INT64_SAFE = (1 << 62) // (3 * _DIRECTION_BOUND)
 
 
 def _cells(prim: list[tuple[int, ...]]):
@@ -211,7 +212,8 @@ def _descents(bits: np.ndarray) -> np.ndarray:
 
 
 def _screen(cols: list[tuple[int, ...]], samples: int, seed: int, stop_above=None) -> int:
-    """Body of ``sampled_lower_bound`` on its validated primitive edge rows.
+    """Body of ``sampled_lower_bound`` on its checked arguments and primitive
+    edge rows; an entry above ``_INT64_SAFE`` is a SuperbridgeError.
 
     The ``samples`` directions are read in chunks of 8, 16, 32, ...
     directions, the last cut to what is left: 24 bytes each, so every chunk
@@ -222,6 +224,8 @@ def _screen(cols: list[tuple[int, ...]], samples: int, seed: int, stop_above=Non
     maximum above it; the full screen reads the same chunk, so the two
     exceed ``stop_above`` together.
     """
+    if max(abs(x) for col in cols for x in col) > _INT64_SAFE:
+        raise SuperbridgeError("edge coordinates too large for the sampling fast path")
     mat = np.array(cols, dtype=np.int64).T  # 3 x n
     rng = random.Random(seed)
     most, read, k = 0, 0, 8

@@ -68,18 +68,12 @@ class InvalidCertificate(SuperbridgeError):
     ``check`` names the failing test: "dimension", "negative_entry",
     "zero_vector", "nonzero_residual", or "uncovered_system". For odd
     bundles ``systems`` lists the shifted systems left without a valid
-    null vector.
+    null vector; the message names the published-layout column of the
+    first, ``published_column_for_system(n, systems[0])[0]``.
     """
 
-    def __init__(
-        self,
-        check: str,
-        detail: str = "",
-        column: Optional[int] = None,
-        systems: tuple[int, ...] = (),
-    ):
+    def __init__(self, check: str, detail: str = "", systems: tuple[int, ...] = ()):
         self.check = check
-        self.column = column
         self.systems = systems
         msg = check if not detail else f"{check}: {detail}"
         super().__init__(msg)
@@ -137,8 +131,12 @@ class VerifiedBound:
 
     knot: str
     n: int
-    bound: int
     assignment: tuple[tuple[int, int, int], ...] = ()
+
+    @property
+    def bound(self) -> int:
+        """floor(n/2) - 1, the bound every verified vector or bundle certifies."""
+        return self.n // 2 - 1
 
     @property
     def statement(self) -> str:
@@ -220,7 +218,7 @@ def verify_even_certificate(p: PolygonalKnot, u: Sequence) -> VerifiedBound:
     failure = _sign_failure(u) or _residual_failure(_polygon_systems(p)[0], u)
     if failure is not None:
         raise InvalidCertificate(failure, f"{p.name}: even-system certificate rejected")
-    return VerifiedBound(knot=p.name, n=n, bound=n // 2 - 1)
+    return VerifiedBound(knot=p.name, n=n)
 
 
 def published_column_for_system(n: int, j: int) -> tuple[int, int]:
@@ -281,10 +279,9 @@ def verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBo
             f"{p.name}: no valid null vector for shifted system(s) {uncovered}; "
             f"published-layout column {c} fails check "
             f"'{signs[c] or 'nonzero_residual'}' for system {j}",
-            column=c,
             systems=tuple(uncovered),
         )
-    return VerifiedBound(knot=p.name, n=n, bound=n // 2 - 1, assignment=tuple(assignment))
+    return VerifiedBound(knot=p.name, n=n, assignment=tuple(assignment))
 
 
 def verify_bundle(p: PolygonalKnot, bundle: CertificateBundle) -> VerifiedBound:

@@ -22,17 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from numbers import Integral
 
-from .geometry import Direction, EdgeVectors, PolygonalKnot, SignPattern, _kept, integer_edges
+from .geometry import (
+    DegenerateEdgeSet,
+    Direction,
+    EdgeVectors,
+    PolygonalKnot,
+    SignPattern,
+    _kept,
+    integer_edges,
+)
 from .linalg import SuperbridgeError, _reduced, primitive_vector
 
-_DIRECTION_BOUND = 1 << 20
-_INT64_SAFE = (1 << 62) // (3 * _DIRECTION_BOUND)
 #: Most samples x edges the screen accepts (its int64 table is then 128 MiB).
 SCREEN_ENTRIES_MAX = 1 << 24
-
-
-class DegenerateEdgeSet(SuperbridgeError):
-    """Fewer than two distinct great circles: no arrangement to enumerate."""
 
 
 @dataclass(frozen=True)
@@ -126,10 +128,7 @@ def sampled_lower_bound(p: PolygonalKnot, samples: int, seed: int, *, stop_above
         raise SuperbridgeError(f"samples must be 1 to {most} for {p.n} edges, got {samples!r}")
     if stop_above is not None and not isinstance(stop_above, Integral):
         raise SuperbridgeError(f"stop_above must be an integer or None, got {stop_above!r}")
-    cols = _primitive_rows(p)
-    if max(abs(x) for col in cols for x in col) > _INT64_SAFE:
-        raise SuperbridgeError("edge coordinates too large for the sampling fast path")
 
     from ._kernel import _screen
 
-    return _screen(cols, samples, int(seed), None if stop_above is None else int(stop_above))
+    return _screen(_primitive_rows(p), samples, int(seed), stop_above)

@@ -33,6 +33,10 @@ class DegeneratePolygon(SuperbridgeError):
     """The vertex list does not describe a genuine closed space polygon."""
 
 
+class DegenerateEdgeSet(SuperbridgeError):
+    """Fewer than two distinct great circles: no arrangement to enumerate."""
+
+
 class NonGenericDirection(SuperbridgeError):
     """Some edge is orthogonal to the projection direction."""
 

@@ -627,12 +627,40 @@ class TestBundleType:
         assert b.column(1) == (2, 4)
 
 
+def test_verified_bound_derives_its_bound_from_n():
+    """A verified vector or bundle certifies floor(n/2) - 1 and nothing else,
+    so the bound is read off n rather than stored beside it."""
+    assert [f.name for f in dataclasses.fields(VerifiedBound)] == ["knot", "n", "assignment"]
+    assert [VerifiedBound(knot="k", n=n).bound for n in (4, 5, 11, 12)] == [1, 1, 4, 5]
+    vb = VerifiedBound(knot="k", n=9)
+    with pytest.raises(AttributeError):
+        vb.bound = 3
+    with pytest.raises(TypeError):
+        VerifiedBound(knot="k", n=9, bound=3)
+
+
+def test_invalid_certificate_names_its_column_only_in_the_message(corpus):
+    """The column of a rejected odd bundle follows from its first uncovered
+    system, and the message names it; the error stores no copy of it."""
+    entry = corpus["9_36"]
+    matrix = [list(row) for row in entry.certificate.matrix]
+    matrix[1][7] += 1
+    with pytest.raises(InvalidCertificate) as exc:
+        verify_odd_bundle(entry.knot, CertificateBundle(matrix=tuple(map(tuple, matrix))))
+    assert not hasattr(exc.value, "column")
+    c = published_column_for_system(entry.knot.n, exc.value.systems[0])[0]
+    assert c == 7 and f"published-layout column {c} fails" in str(exc.value)
+    with pytest.raises(TypeError):
+        InvalidCertificate("uncovered_system", "detail", column=7)
+
+
 def _outcome(p: PolygonalKnot, bundle: CertificateBundle, verify=verify_bundle) -> list:
     """What ``verify`` says about a bundle: the bound or the diagnosis."""
     try:
         vb = verify(p, bundle)
     except InvalidCertificate as exc:
-        return ["rejected", exc.check, str(exc), exc.column, list(exc.systems)]
+        column = published_column_for_system(p.n, exc.systems[0])[0] if exc.systems else None
+        return ["rejected", exc.check, str(exc), column, list(exc.systems)]
     return ["verified", vb.knot, vb.n, vb.bound, [list(a) for a in vb.assignment]]
 
 
@@ -797,10 +825,9 @@ def _reference_verify_odd_bundle(p: PolygonalKnot, bundle: CertificateBundle) ->
             "uncovered_system",
             f"{p.name}: no valid null vector for shifted system(s) {uncovered}; "
             f"published-layout column {c} fails check '{failure(j, c, r)}' for system {j}",
-            column=c,
             systems=tuple(uncovered),
         )
-    return VerifiedBound(knot=p.name, n=n, bound=n // 2 - 1, assignment=tuple(assignment))
+    return VerifiedBound(knot=p.name, n=n, assignment=tuple(assignment))
 
 
 #: A 5-gon whose edges, signed as in E_1, sum to zero: the all-ones vector

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import shutil
 import subprocess
@@ -21,6 +22,7 @@ from superbridge import (
 )
 from superbridge import corpus as corpus_mod
 from superbridge.corpus import (
+    EntryReport,
     ParseError,
     SuperbridgeError,
     _vertex_row,
@@ -225,6 +227,16 @@ class TestShippedCorpus:
             assert report.exact_value == entry.claimed_sb
             expected = "enumeration" if entry.certificate is None else "certificate-cross-check"
             assert report.method == expected
+
+
+def test_entry_report_derives_its_method():
+    """A report keeps what the check found; the method follows from whether
+    a certificate bound was checked, and the entry is the caller's."""
+    assert [f.name for f in dataclasses.fields(EntryReport)] == ["verified", "exact_value", "bound"]
+    plain, checked = EntryReport(True, exact_value=5), EntryReport(True, exact_value=4, bound=4)
+    assert (plain.method, checked.method) == ("enumeration", "certificate-cross-check")
+    with pytest.raises(AttributeError):
+        checked.method = "enumeration"
 
 
 _TOKENS = ("0", "-1", "1/0", "1e400", "nan", "x", "", str(10**30), "u:", "U:", "odd", "even")

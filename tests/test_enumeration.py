@@ -574,7 +574,7 @@ class TestSampledLowerBound:
             chunks = b"".join(rng.randbytes(24 * k) for k in (8, 16, 32, 64, 80))
             assert chunks == random.Random(seed).randbytes(24 * 200)
 
-    @pytest.mark.parametrize("bound", [enumeration._DIRECTION_BOUND, 1])
+    @pytest.mark.parametrize("bound", [_kernel._DIRECTION_BOUND, 1])
     def test_stopped_screen_decides_like_the_maximum(self, monkeypatch, bound):
         """``stop_above=t`` exceeds t exactly when the full maximum does,
         never exceeds that maximum, and equals it when it stays at or below

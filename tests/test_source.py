@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -119,3 +120,50 @@ def test_every_public_class_and_function_has_a_docstring():
         and not ast.get_docstring(_definition(obj))
     ]
     assert not missing, missing
+
+
+def _relative_imports(path: Path, modules: set[str]) -> set[str]:
+    """The package modules that the module at path imports relatively,
+    anywhere in its body; ``from . import x`` names module x when x is one,
+    else the package itself (``__init__``)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(a.name if a.name in modules else "__init__" for a in node.names)
+    return found
+
+
+def test_package_import_graph_is_acyclic():
+    """No package module imports, at any depth and even inside a function
+    body, a module that imports it back: each fact lives in one module,
+    and the modules that use it import that one."""
+    paths = {path.stem: path for path in Path(superbridge.__file__).parent.glob("*.py")}
+    graph = {name: sorted(_relative_imports(path, set(paths))) for name, path in paths.items()}
+    state: dict[str, str] = {}
+    cycles = []
+
+    def visit(name: str, trail: list[str]) -> None:
+        state[name] = "open"
+        for dep in graph.get(name, ()):
+            if state.get(dep) == "open":
+                cycles.append(" -> ".join(trail[trail.index(dep) :] + [dep]))
+            elif dep not in state:
+                visit(dep, trail + [dep])
+        state[name] = "done"
+
+    for name in sorted(graph):
+        if name not in state:
+            visit(name, [name])
+    assert not cycles, cycles
+
+
+def test_declared_python_floor_has_the_int_digit_limit():
+    """``linalg.rational`` calls ``sys.get_int_max_str_digits``, first in
+    Python 3.10.7, so ``requires-python`` may allow nothing older."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    floor = re.search(r'^requires-python\s*=\s*">=\s*([\d.]+)"', pyproject.read_text(), re.M)
+    assert floor, "pyproject.toml declares no requires-python floor"
+    assert tuple(map(int, floor.group(1).split("."))) >= (3, 10, 7), floor.group(0)
