@@ -21,12 +21,15 @@ tampered copies. Each checkout's package is imported afresh into this
 process, as the benchmark does, and every invocation's exit status, stdout
 and stderr are recorded, with every file a search writes (its manifest,
 ``.txt`` and ``.cert`` files). Every invocation whose record differs is
-printed; the exit status is 1 if any differs, else 0.
+printed on one ``differs (...)`` line that names the parts that differ,
+the written files by name or, past a few, counted by suffix; the exit
+status is 1 if any differs, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import importlib
 import io
@@ -49,6 +52,9 @@ SEARCHES = [
     "--edges 33 --target 16 --samples 3 --seed 7 --radius 5/2",
     "--edges 22 --target 3 --samples 40 --seed 1 --radius 5/2",
 ]
+
+#: Past this many differing written files, ``differences`` counts them by suffix.
+NAMED_FILES = 4
 
 #: (edges, seed) of the raw sampler polygons given to ``sb exact``, radius
 #: 5/2. The corpus takes the arrangement kernel's one-product int64 path;
@@ -182,6 +188,23 @@ def package(checkout: Path):
         sys.path.remove(src)
 
 
+def differences(old: tuple, new: tuple) -> str:
+    """The parts in which two ``run`` records differ, as ``differs (...)``
+    shows them: "exit status", "stdout", "stderr", then "files: " and the
+    files written with other bytes or by one side only, by name, or past
+    NAMED_FILES counted by suffix ("13 .cert, 13 .txt")."""
+    parts = [part for part, a, b in zip(("exit status", "stdout", "stderr"), old, new) if a != b]
+    files = sorted(
+        name for name in old[3].keys() | new[3].keys() if old[3].get(name) != new[3].get(name)
+    )
+    if len(files) > NAMED_FILES:
+        suffixes = collections.Counter(Path(name).suffix or name for name in files)
+        files = [f"{count} {suffix}" for suffix, count in sorted(suffixes.items())]
+    if files:
+        parts.append("files: " + ", ".join(files))
+    return ", ".join(parts)
+
+
 def outputs(checkout: Path, runs: list[list[str]]) -> list[tuple]:
     """``run`` of each argument list, with the package of ``checkout``."""
     with package(checkout):
@@ -204,12 +227,8 @@ def main(argv=None) -> int:
     for argv, old, new in zip(runs, before, after):
         if old != new:
             differ += 1
-            parts = [
-                part for part, a, b in zip(("exit status", "stdout", "stderr", "files"), old, new)
-                if a != b
-            ]
             shown = [str(Path(a).relative_to(data)) if a.startswith(str(data)) else a for a in argv]
-            print(f"differs ({', '.join(parts)}): sb {' '.join(shown)}")
+            print(f"differs ({differences(old, new)}): sb {' '.join(shown)}")
     print(f"{len(runs)} invocations, {differ} differ")
     return 1 if differ else 0
 

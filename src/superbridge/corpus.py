@@ -70,7 +70,7 @@ def load_realization(path) -> PolygonalKnot:
     rows = [_vertex_row(path, line_no, line) for line_no, line in _content_lines(path)]
     if not rows:
         raise ParseError(path, 1, "no vertices found")
-    return PolygonalKnot.from_coordinates(Path(path).stem, rows)
+    return PolygonalKnot(name=Path(path).stem, vertices=tuple(rows))
 
 
 def vertex_line(v) -> str:
@@ -135,7 +135,7 @@ def load_certificate_document(path) -> CertificateDocument:
         rows.append(_vertex_row(path, line_no, line))
         pos += 1
     try:
-        knot = PolygonalKnot.from_coordinates(name, rows)
+        knot = PolygonalKnot(name=name, vertices=tuple(rows))
     except DegeneratePolygon as exc:
         raise ParseError(path, vertices_line, str(exc)) from None
     n = knot.n

@@ -13,8 +13,11 @@ rejected, so the screen is skipped.
 The sampler is a baseline: edge directions are drawn isotropically,
 alternately renormalized and closed in floating point, in a fixed operation
 order so that each polygon is a pure function of the ``random.Random``
-state, then snapped to a rational grid. The float phase runs on rows of
-plain Python floats: a draw takes a few dozen sweeps over n edges, and at
+state, then snapped to a rational grid. The sweeps stop once every edge
+norm is within a quarter of a grid step of 1; sweeping on to 1e-12 moves
+no snapped coordinate by more than one step in tests/test_search.py, and a
+try that never settles is drawn again. The float phase runs on rows of
+plain Python floats: a draw takes about twenty sweeps over n edges, and at
 the sampled sizes numpy's cost per call outweighs its arithmetic. The rows
 do the numpy sweeps' float operations in the same order, so the polygons
 are the same bit for bit; tests/test_search.py keeps those sweeps as the
@@ -46,6 +49,7 @@ class RetryExhausted(SuperbridgeError):
 
 
 _GRID = 1 << 24
+_SETTLED = 0.25 / _GRID
 _MAX_TRIES = 10**6
 
 
@@ -128,16 +132,17 @@ def _isotropic_edges(n: int, rng: random.Random) -> list[tuple[float, float, flo
 
 def _snap(rows: list[tuple[float, float, float]]) -> Optional[list[tuple[int, int, int]]]:
     """Integer edges on the 1/2^24 grid after closing and equalizing edges,
-    or None if an edge closes to exactly 0.
+    or None if an edge closes to exactly 0 or 200 sweeps do not settle.
 
-    Alternates defect fold-in and renormalization until nearly equilateral,
-    in a fixed float operation order, so every polygon is reproducible bit
-    for bit: the defect is the left-fold sum of the edges from the first,
-    divided by n once; each squared norm is x*x + y*y + z*z; max |r - 1| is
-    read off the largest and the least r; ``round`` rounds half to even.
-    An edge of norm 0 ends the draw, so the caller draws again: numpy
-    sweeps, the reference for these rows, turn it into NaNs and so into a
-    polygon with all vertices equal, which is rejected too.
+    Alternates defect fold-in and renormalization until a sweep finds every
+    norm r within ``_SETTLED``, a quarter of a grid step, of 1, in a fixed
+    float operation order, so every polygon is reproducible bit for bit:
+    the defect is the left-fold sum of the edges from the first, divided by
+    n once; each squared norm is x*x + y*y + z*z; max |r - 1| is read off
+    the largest and the least r; ``round`` rounds half to even. An edge of
+    norm 0 or an unsettled try ends the draw, so the caller draws again:
+    numpy sweeps, the reference for these rows, turn a zero edge into NaNs,
+    which never settle.
     """
     n = len(rows)
     try:
@@ -158,8 +163,10 @@ def _snap(rows: list[tuple[float, float, float]]) -> Optional[list[tuple[int, in
                     lo = r
                 out.append((x / r, y / r, z / r))
             rows = out
-            if hi - 1.0 < 1e-12 and 1.0 - lo < 1e-12:
+            if hi - 1.0 < _SETTLED and 1.0 - lo < _SETTLED:
                 break
+        else:
+            return None
     except ZeroDivisionError:
         return None
     return [(round(x * _GRID), round(y * _GRID), round(z * _GRID)) for x, y, z in rows]

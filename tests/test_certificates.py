@@ -460,8 +460,10 @@ def test_find_certificate_pinned_on_every_realization(corpus):
 # polygon (radius 3, raw 2^24-grid rationals) for each n = 3..31, the same
 # polygons quantized to 3 digits, then the 22 realizations by name. Recorded
 # once odd shifts reused the previous shift's null vector and every system was
-# decided as its coprime integer table, with no scale.
-FIND_REPR_DIGEST = "19b5714ec391a3b2113ecb07c74eb6851ae265009d52afadf553c9945e92d54c"
+# decided as its coprime integer table, with no scale, and again once the
+# sampler's sweeps stopped at grid precision, which moves a sampled
+# coordinate by at most one 2^-24 step.
+FIND_REPR_DIGEST = "9b96929a3749cf9c57be2b9d4c5ac14f8ebb248e5de507594f04076ccf016648"
 
 
 def _sampler_polygons() -> list:

@@ -4,6 +4,7 @@
 """
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -127,6 +128,40 @@ def test_compare_outputs_against_itself(package_env):
     # the direct and the mixed layouts x verify text/json, 12 tables,
     # 7 searches, 5 raw sampler polygons x exact text/json
     assert proc.stdout.splitlines() == ["270 invocations, 0 differ"], proc.stdout
+
+
+def test_compare_outputs_names_the_files_that_differ():
+    """Written files that differ, or that one side alone wrote, are named up
+    to NAMED_FILES of them, and counted by suffix past that."""
+    differences = _script("compare_outputs").differences
+    files = {"manifest.json": b"{}", "a.txt": b"1", "a.cert": b"u: 1"}
+    old = (0, "3 candidates\n", "", files)
+    assert differences(old, (1, "", "", files)) == "exit status, stdout"
+    assert differences(old, (0, "3 candidates\n", "", {**files, "a.txt": b"2"})) == "files: a.txt"
+    new = {**files, "a.cert": b"u: 2", "b.txt": b"1"}
+    assert differences(old, (0, "", "x", new)) == "stdout, stderr, files: a.cert, b.txt"
+    many = {f"{c}.{s}": b"2" for c in "abc" for s in ("txt", "cert")}
+    assert differences(old, (0, "3 candidates\n", "", many)) == "files: 3 .cert, 1 .json, 3 .txt"
+
+
+def test_compare_outputs_prints_one_summary_line_per_difference(monkeypatch, capsys):
+    """Each differing invocation is one ``differs (...)`` line, which the CI
+    job summary's pattern picks up, as it does the count line."""
+    compare_outputs = _script("compare_outputs")
+    runs = [["search", "--edges", "6"], ["table"]]
+    records = {
+        "parent": [(0, "", "", {"manifest.json": b"{}", "r.txt": b"1"}), (0, "t", "", {})],
+        "change": [(0, "", "", {"manifest.json": b"{}", "r.txt": b"2"}), (0, "t", "", {})],
+    }
+    monkeypatch.setattr(compare_outputs, "sampled", lambda change, out: [])
+    monkeypatch.setattr(compare_outputs, "layouts", lambda change, data, out: ([], []))
+    monkeypatch.setattr(compare_outputs, "invocations", lambda *args: runs)
+    monkeypatch.setattr(compare_outputs, "outputs", lambda checkout, argv: records[checkout.name])
+    assert compare_outputs.main(["parent", "change"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["differs (files: r.txt): sb search --edges 6", "2 invocations, 1 differ"]
+    summary = re.compile(r"^(differs \(|[0-9]+ invocations, [0-9]+ differ$)")
+    assert all(map(summary.match, lines))
 
 
 def test_compare_outputs_tampers_one_bundle_entry_of_each_certificate(tmp_path):

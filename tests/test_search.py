@@ -34,6 +34,10 @@ def _lengths(knot):
     return out
 
 
+#: (radius, largest n) of the sampler tests that sweep every n from 3 up.
+_BANDS = (("1", 8), ("3/2", 16), ("5/2", 40), ("3", 64))
+
+
 class TestSampler:
     def test_deterministic(self):
         p1 = random_equilateral_polygon(6, "3/2", random.Random(42))
@@ -58,6 +62,66 @@ class TestSampler:
         p = random_equilateral_polygon(10, "3/2", random.Random(1))
         for length in _lengths(p):
             assert abs(length - 1.0) < 1e-3
+        # Exactly, every edge has length 1 to within 1e-6, as _check_radius
+        # assumes. "len:4:5/2:2" draws a 4-gon whose first try never settles.
+        low, high = (1 - Fraction(1, 10**6)) ** 2, (1 + Fraction(1, 10**6)) ** 2
+        keys = [f"len:{n}:{radius}:{seed}" for radius, top in _BANDS
+                for n in range(3, top + 1) for seed in range(3)]
+        assert "len:4:5/2:2" in keys
+        for key in keys:
+            _, n, radius, _ = key.split(":")
+            p = random_equilateral_polygon(int(n), radius, random.Random(key))
+            for a, b in zip(p.vertices, p.vertices[1:] + p.vertices[:1]):
+                assert low <= sum((y - x) ** 2 for x, y in zip(a, b)) <= high, key
+
+    def test_snap_within_one_step_of_the_1e12_sweeps(self, monkeypatch):
+        """Sweeping on from a quarter grid step to |r - 1| < 1e-12, as the
+        sampler once did, moves no snapped coordinate by more than one step;
+        each try of three polygons per radius and n = 3..64 is compared."""
+        snap, moved = search_mod._snap, []
+
+        def both(rows):
+            snapped, old = snap(rows), _reference_snap(rows, 1e-12)
+            if snapped is not None and old is not None:
+                moved.append(max(abs(a - b) for e, f in zip(snapped, old) for a, b in zip(e, f)))
+            return snapped
+
+        monkeypatch.setattr(search_mod, "_snap", both)
+        for radius, top in _BANDS:
+            for n in range(3, top + 1):
+                rng = random.Random(f"step:{radius}:{n}")
+                for _ in range(3):
+                    random_equilateral_polygon(n, radius, rng)
+        assert len(moved) > 900 and max(moved) == 1
+
+    def test_sweeps_stop_at_grid_precision(self, monkeypatch):
+        """The sweeps end at the first one whose norms are all within a
+        quarter grid step of 1: n square roots for the closed rows of a
+        regular n-gon scaled by 1 + 1e-10, 2n when scaled by 1 + 1e-7."""
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return math.sqrt(x)
+
+        monkeypatch.setattr(search_mod, "sqrt", counted)
+        for n in (3, 10, 64):
+            for scale, sweeps in ((1 + 1e-10, 1), (1 + 1e-7, 2)):
+                turns = [2 * math.pi * k / n for k in range(n)]
+                rows = [(scale * math.cos(t), scale * math.sin(t), 0.0) for t in turns]
+                calls.clear()
+                assert search_mod._snap(rows) is not None
+                assert len(calls) == sweeps * n, (n, scale)
+
+    def test_unsettled_try_is_redrawn(self, monkeypatch):
+        """A try whose 200 sweeps leave a norm more than a quarter grid step
+        from 1 is drawn again, as by the numpy reference."""
+        rows = search_mod._isotropic_edges(4, random.Random("len:4:5/2:2"))
+        assert search_mod._snap(rows) is None
+        assert _reference_snap(rows) is None
+        monkeypatch.setattr(search_mod, "_MAX_TRIES", 1)
+        with pytest.raises(RetryExhausted):
+            random_equilateral_polygon(4, Fraction(5, 2), random.Random("len:4:5/2:2"))
 
     def test_closure_is_exact_and_confined(self):
         radius = Fraction(3, 2)
@@ -75,9 +139,10 @@ class TestSampler:
                 assert dist_sq <= radius * radius
 
     def test_draws_pinned(self, monkeypatch):
-        """Vertices and rng states of 1,040 draws, some redrawn, as recorded
-        with the all-Fraction sampler: the float sweeps and the integer
-        snapping may not move a bit."""
+        """Vertices and rng states of 1,040 polygons, some redrawn, as
+        recorded once the sweeps stopped within a quarter grid step of unit
+        norms and an unsettled try was redrawn: the float sweeps and the
+        integer snapping may not move a bit."""
         draws = []
         isotropic = search_mod._isotropic_edges
 
@@ -96,12 +161,11 @@ class TestSampler:
                     h.update(" ".join(format_rational(c) for v in p.vertices for c in v).encode())
                     h.update(repr(rng.getstate()).encode())
                     polygons += 1
-        assert (polygons, len(draws)) == (1040, 1740)
-        assert h.hexdigest() == "b0a13f818a657b8fe54279b9116b1550a6885657ee14a39f08e53256389835c0"
+        assert (polygons, len(draws)) == (1040, 1745)
+        assert h.hexdigest() == "7c8bc0d230dabc6b18198e650ae1536cb31b736a32e0a78e450487614d8a2f92"
 
     def test_large_draws_pinned(self, monkeypatch):
-        """As test_draws_pinned, for n = 33..64, as recorded when numpy swept
-        these sizes."""
+        """As test_draws_pinned, for n = 33..64."""
         draws = []
         isotropic = search_mod._isotropic_edges
 
@@ -118,7 +182,7 @@ class TestSampler:
                 h.update(" ".join(format_rational(c) for v in p.vertices for c in v).encode())
                 h.update(repr(rng.getstate()).encode())
         assert len(draws) == 2857
-        assert h.hexdigest() == "ec0b6c2043c4496db8275a6c919b2d608f10d25363c2f6b6f1cdbff449c46500"
+        assert h.hexdigest() == "b0d91b9a2c9fb694159612ec00a09db7bb458e769812dee4d84ce76f1933ff2e"
 
     def test_retry_exhausted(self, monkeypatch):
         # 1/2 passes the radius check, but ten near-unit edges do not fit
@@ -165,18 +229,23 @@ def _reference_isotropic(n, rng):
         draws += [rng.gauss(0.0, 1.0) for _ in range(3 * missing)]
 
 
-def _reference_snap(edges):
-    """The numpy closing sweeps and grid snap that the plain rows replace."""
+def _reference_snap(edges, settled=None):
+    """The numpy closing sweeps and grid snap that the plain rows replace,
+    or None if no sweep of 200 settles: every norm within ``settled`` of 1,
+    the package's threshold unless given. With 1e-12 these are the sweeps
+    the sampler ran before it stopped at grid precision, save that an
+    unsettled try gives None where the sampler kept it."""
+    settled = search_mod._SETTLED if settled is None else settled
     edges, n = np.array(edges, dtype=float), len(edges)
-    with np.errstate(all="ignore"):  # an edge closing to 0 becomes NaNs
+    with np.errstate(all="ignore"):  # an edge closing to 0 becomes NaNs, which never settle
         for _ in range(200):
             edges -= edges.cumsum(axis=0)[-1] / n
             sq = edges * edges
             norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
             edges /= norm[:, None]
-            if abs(norm - 1.0).max() < 1e-12:
-                break
-        return [tuple(e) for e in np.rint(edges * (1 << 24)).astype(np.int64).tolist()]
+            if abs(norm - 1.0).max() < settled:
+                return [tuple(e) for e in np.rint(edges * (1 << 24)).astype(np.int64).tolist()]
+    return None
 
 
 def _draw_stream(monkeypatch, reference, n, radius):
@@ -257,10 +326,10 @@ class TestSamplerAgainstNumpy:
         assert len(calls) > 1
 
     def test_edge_closing_to_zero_is_redrawn(self, monkeypatch):
-        """numpy turned such an edge into NaNs, and so into equal vertices."""
+        """numpy turns such an edge into NaNs, which never settle."""
         rows = [(1.0, 0.0, 0.0)] * 6
         assert search_mod._snap(rows) is None
-        assert len(set(_reference_snap(rows))) == 1
+        assert _reference_snap(rows) is None
         expected = random_equilateral_polygon(6, "3/2", random.Random(5))
         isotropic, calls = search_mod._isotropic_edges, []
 
@@ -369,8 +438,8 @@ class TestSearch:
 
     def test_candidate_stream_pinned(self):
         """Names, coordinates and certificates as recorded with a separate
-        screen seed: the screen's seed cannot move a candidate. Certificates
-        as recorded once each system was decided with no scale."""
+        screen seed: the screen's seed cannot move a candidate. Recorded once
+        the sampler's sweeps stopped at grid precision."""
         cfg = SearchConfig(n=6, target=2, samples=40, seed=9, screen_samples=64)
         lines = []
         for c in search(cfg):
@@ -378,7 +447,7 @@ class TestSearch:
             lines.append(f"{c.knot.name} {c.exact_sb} {coords} {c.certificate}\n")
         assert len(lines) == 13
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-        assert digest == "43a247db6743e243444f7b8e6e90e1953426f043e939beada58b1f5aa3715711"
+        assert digest == "fbc2e177c1b483da347c8fb3bd0e4855cf82dcde692b2534ee45f5ddbc48a6e5"
 
     @pytest.mark.parametrize(
         "n,target,samples,seed", [(6, 2, 40, 9), (8, 3, 30, 5), (7, 2, 30, 4)]
