@@ -63,16 +63,15 @@ class TestSampler:
         for length in _lengths(p):
             assert abs(length - 1.0) < 1e-3
         # Exactly, every edge has length 1 to within 1e-6, as _check_radius
-        # assumes. "len:4:5/2:2" draws a 4-gon whose first try never settles.
+        # assumes; "len:4:5/2:2" draws a 4-gon whose first try never settles.
         low, high = (1 - Fraction(1, 10**6)) ** 2, (1 + Fraction(1, 10**6)) ** 2
-        keys = [f"len:{n}:{radius}:{seed}" for radius, top in _BANDS
-                for n in range(3, top + 1) for seed in range(3)]
-        assert "len:4:5/2:2" in keys
-        for key in keys:
-            _, n, radius, _ = key.split(":")
-            p = random_equilateral_polygon(int(n), radius, random.Random(key))
-            for a, b in zip(p.vertices, p.vertices[1:] + p.vertices[:1]):
-                assert low <= sum((y - x) ** 2 for x, y in zip(a, b)) <= high, key
+        for radius, top in _BANDS:
+            for n in range(3, top + 1):
+                for seed in range(3):
+                    key = f"len:{n}:{radius}:{seed}"
+                    p = random_equilateral_polygon(n, radius, random.Random(key))
+                    for a, b in zip(p.vertices, p.vertices[1:] + p.vertices[:1]):
+                        assert low <= sum((y - x) ** 2 for x, y in zip(a, b)) <= high, key
 
     def test_snap_within_one_step_of_the_1e12_sweeps(self, monkeypatch):
         """Sweeping on from a quarter grid step to |r - 1| < 1e-12, as the
